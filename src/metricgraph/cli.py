@@ -317,6 +317,16 @@ def cmd_search(args: argparse.Namespace) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="metricgraph",
@@ -364,8 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="sweep enumerated connected graphs")
     p.add_argument("--conjecture", required=True, help="4.2 or 4.4")
     p.add_argument("--max-n", type=int, default=6, dest="max_n")
-    p.add_argument("--max-violations", type=int, default=100, dest="max_violations")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--max-violations", type=_positive_int, default=100,
+                   dest="max_violations")
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=cmd_search)
 
     return parser

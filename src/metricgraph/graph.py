@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import Disconnected, EmptySubset, ParseError, UnknownLabel
 from .metric import MetricSpace
@@ -152,12 +151,12 @@ def is_connected(g: Graph) -> bool:
 
 
 def geodesic_metric(g: Graph) -> MetricSpace:
-    """The geodesic distance as a validated MetricSpace (connected graphs)."""
+    """The geodesic distance as a validated MetricSpace (connected graphs);
+    the BFS edge counts are stored as they are, as `int`s."""
     dist = geodesic_distances(g)
     if any(v is None for row in dist for v in row):
         raise Disconnected("geodesic metric requires a connected graph")
-    rows = tuple(tuple(Fraction(v) for v in row) for row in dist)  # type: ignore[arg-type]
-    return MetricSpace(g.vertex_labels, rows)
+    return MetricSpace(g.vertex_labels, dist)  # type: ignore[arg-type]
 
 
 def shortest_path(g: Graph, x: str, z: str) -> list[str]:

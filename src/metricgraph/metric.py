@@ -1,9 +1,11 @@
 """Finite metric spaces with exact rational distances.
 
-Distances are `fractions.Fraction` values throughout; no floating point is
-used anywhere, so strict inequalities (needed by the ceiling-embedding
-distortion bound) are decided exactly.  A `MetricSpace` validates all three
-metric axioms at construction time and is immutable afterwards.
+Distances are exact rationals: an integral distance is stored as a Python
+`int` and a non-integral one as a `fractions.Fraction` (both expose
+`.numerator` and `.denominator`).  No floating point is used anywhere, so
+strict inequalities (needed by the ceiling-embedding distortion bound) are
+decided exactly.  A `MetricSpace` validates all three metric axioms at
+construction time and is immutable afterwards.
 """
 
 from __future__ import annotations
@@ -24,43 +26,48 @@ from .errors import (
 
 RESERVED_PREFIX = "__"
 
+# An exact distance: `int` when integral, `Fraction` otherwise.
+Rational = int | Fraction
+
 
 # ---------------------------------------------------------------------------
 # Exact rational values
 # ---------------------------------------------------------------------------
 
-def parse_rational(value: int | str | Fraction) -> Fraction:
+def parse_rational(value: int | str | Fraction) -> Rational:
     """Parse an exact rational from an int, a Fraction, or a string.
 
     Accepted string forms: integers ("3"), finite decimals ("2.3"),
     fractions ("23/10"), and scientific notation ("1e-3"); all are parsed
-    exactly.  Floats are rejected: binary floats cannot represent finite
-    decimals exactly.
+    exactly.  Integral values come back as `int`, others as `Fraction`.
+    Floats are rejected: binary floats cannot represent finite decimals
+    exactly.
     """
     if isinstance(value, bool):
         raise ParseError(f"boolean is not a distance value: {value!r}")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
+    if isinstance(value, int):
+        return int(value)
     if isinstance(value, float):
         raise ParseError(
             f"float distance {value!r} rejected; pass a decimal string instead"
         )
-    if isinstance(value, str):
+    if isinstance(value, (str, Fraction)):
         try:
-            return Fraction(value)
+            q = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational number: {value!r}") from exc
+        return q.numerator if q.denominator == 1 else q
     raise ParseError(f"unsupported distance value: {value!r}")
 
 
-def format_rational(q: Fraction) -> str:
-    """Render a Fraction so that `parse_rational` round-trips it exactly."""
+def format_rational(q: Rational) -> str:
+    """Render an exact rational so that `parse_rational` round-trips it."""
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
 
 
-def rational_to_json(q: Fraction) -> int | str:
+def rational_to_json(q: Rational) -> int | str:
     """JSON-friendly form: plain int when integral, "p/q" string otherwise."""
     if q.denominator == 1:
         return q.numerator
@@ -72,7 +79,7 @@ def rational_to_json(q: Fraction) -> int | str:
 # ---------------------------------------------------------------------------
 
 def find_metric_violation(
-    dist: tuple[tuple[Fraction, ...], ...]
+    dist: tuple[tuple[Rational, ...], ...]
 ) -> MetricViolation | None:
     """Return the first metric-axiom violation of a square table, or None.
 
@@ -118,7 +125,7 @@ def find_metric_violation(
 
 
 def violation_reproduces(
-    dist: tuple[tuple[Fraction, ...], ...], violation: MetricViolation
+    dist: tuple[tuple[Rational, ...], ...], violation: MetricViolation
 ) -> bool:
     """Re-evaluate a reported witness against the table it came from."""
     w = violation.witness
@@ -145,13 +152,14 @@ class MetricSpace:
     """A finite labeled point set with an exact, validated distance table.
 
     Instances are immutable and safe to share between workers.  Use
-    `MetricSpace.from_rows` to build one from plain lists; the constructor
-    validates every metric axiom and raises `MetricViolation` with a
-    concrete witness on failure.
+    `MetricSpace.from_rows` to build one from plain lists; it stores every
+    integral distance as an `int` and every other one as a `Fraction`, and
+    never a float.  The constructor validates every metric axiom and raises
+    `MetricViolation` with a concrete witness on failure.
     """
 
     labels: tuple[str, ...]
-    dist: tuple[tuple[Fraction, ...], ...]
+    dist: tuple[tuple[Rational, ...], ...]
 
     def __post_init__(self) -> None:
         if len(self.labels) == 0:
@@ -177,7 +185,7 @@ class MetricSpace:
     def from_rows(
         cls,
         labels: list[str] | tuple[str, ...],
-        rows: list[list[int | str | Fraction]] | tuple,
+        rows: list[list[Rational | str]] | tuple,
     ) -> "MetricSpace":
         dist = tuple(tuple(parse_rational(v) for v in row) for row in rows)
         return cls(tuple(labels), dist)
@@ -192,7 +200,7 @@ class MetricSpace:
         except KeyError:
             raise UnknownLabel(f"unknown point label {label!r}") from None
 
-    def d(self, x: str, y: str) -> Fraction:
+    def d(self, x: str, y: str) -> Rational:
         return self.dist[self.index(x)][self.index(y)]
 
     def restrict(self, labels: list[str] | tuple[str, ...]) -> "MetricSpace":
@@ -225,28 +233,6 @@ def between(m: MetricSpace, x: str, y: str, z: str) -> bool:
     return m.dist[ix][iz] == m.dist[ix][iy] + m.dist[iy][iz]
 
 
-def kay_chartrand_check(m: MetricSpace) -> tuple[str, str] | None:
-    """Check that every pair at distance >= 2 has some point between it.
-
-    Returns None when the condition holds (the metric is then exactly the
-    geodesic metric of the distance-1 graph), otherwise the lexicographically
-    first violating pair by point index.  Requires an integer metric.
-    """
-    _require_integer(m)
-    n = m.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m.dist[i][j] < 2:
-                continue
-            if not any(
-                k != i and k != j
-                and m.dist[i][j] == m.dist[i][k] + m.dist[k][j]
-                for k in range(n)
-            ):
-                return (m.labels[i], m.labels[j])
-    return None
-
-
 @dataclass(frozen=True)
 class X2Set:
     """The metrically irreducible pairs: distance >= 2 and no strictly
@@ -266,23 +252,36 @@ class X2Set:
         return (a, b) in self.pairs or (b, a) in self.pairs
 
 
-def compute_x2_set(m: MetricSpace) -> X2Set:
-    """All irreducible pairs, ordered lexicographically by point index."""
+def _irreducible_pairs(m: MetricSpace) -> Iterator[tuple[str, str]]:
+    """Pairs at distance >= 2 with no point between them, lazily and in
+    lexicographic order by point index.  Requires an integer metric."""
     _require_integer(m)
+    d = m.dist
     n = m.n
-    out = []
     for i in range(n):
         for j in range(i + 1, n):
-            if m.dist[i][j] < 2:
+            if d[i][j] < 2:
                 continue
-            reducible = any(
-                k != i and k != j
-                and m.dist[i][j] == m.dist[i][k] + m.dist[k][j]
+            if not any(
+                k != i and k != j and d[i][j] == d[i][k] + d[k][j]
                 for k in range(n)
-            )
-            if not reducible:
-                out.append((m.labels[i], m.labels[j]))
-    return X2Set(tuple(out))
+            ):
+                yield (m.labels[i], m.labels[j])
+
+
+def compute_x2_set(m: MetricSpace) -> X2Set:
+    """All irreducible pairs, ordered lexicographically by point index."""
+    return X2Set(tuple(_irreducible_pairs(m)))
+
+
+def kay_chartrand_check(m: MetricSpace) -> tuple[str, str] | None:
+    """Check that every pair at distance >= 2 has some point between it.
+
+    Returns None when the condition holds (the metric is then exactly the
+    geodesic metric of the distance-1 graph), otherwise the first
+    irreducible pair of `compute_x2_set`.  Requires an integer metric.
+    """
+    return next(_irreducible_pairs(m), None)
 
 
 def ceiling_metric(m: MetricSpace) -> MetricSpace:
@@ -291,7 +290,7 @@ def ceiling_metric(m: MetricSpace) -> MetricSpace:
     The result is itself a metric; this is re-validated on construction and
     a failure is promoted to an internal error since it can only mean a bug.
     """
-    rows = tuple(tuple(Fraction(math.ceil(v)) for v in row) for row in m.dist)
+    rows = tuple(tuple(math.ceil(v) for v in row) for row in m.dist)
     try:
         return MetricSpace(m.labels, rows)
     except MetricViolation as exc:  # pragma: no cover - unreachable for metrics

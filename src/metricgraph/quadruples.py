@@ -31,8 +31,8 @@ from .errors import (
     TooSmall,
     WrongArity,
 )
-from .graph import Graph, classify_shape, geodesic_metric, graph_doc, induced_subgraph, is_connected
-from .metric import MetricSpace
+from .graph import Graph, classify_shape, geodesic_metric, graph_doc, is_connected
+from .metric import MetricSpace, Rational
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +61,7 @@ def mb_check(m: MetricSpace) -> tuple[str, str, str] | None:
     return None
 
 
-def line_embed(m: MetricSpace) -> dict[str, Fraction] | None:
+def line_embed(m: MetricSpace) -> dict[str, Rational] | None:
     """Isometric embedding into the rational line, or None.
 
     Gauge: the first point sits at 0 and the second at its (positive)
@@ -70,7 +70,7 @@ def line_embed(m: MetricSpace) -> dict[str, Fraction] | None:
     pairwise verification confirms the placement.  If an embedding exists
     at all, the gauge-fixed one is found, so None is a definite negative.
     """
-    coords = [Fraction(0)] * m.n
+    coords: list[Rational] = [0] * m.n
     for k in range(1, m.n):
         if k == 1:
             coords[1] = m.dist[0][1]
@@ -99,8 +99,8 @@ class PLQ:
     """A matched pseudo-linear quadruple ordering with s <= t."""
 
     ordering: tuple[str, str, str, str]
-    s: Fraction
-    t: Fraction
+    s: Rational
+    t: Rational
 
     @property
     def equilateral(self) -> bool:
@@ -119,6 +119,26 @@ def _require_four(labels: Iterable[str]) -> tuple[str, str, str, str]:
 _PAIRINGS = ((0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3))
 
 
+def _plq_match(
+    d: tuple[tuple[Rational, ...], ...], quad: tuple[int, int, int, int]
+) -> tuple[tuple[int, int, int, int], Rational, Rational] | None:
+    """First of `_PAIRINGS` under which the points `quad` (indices into the
+    distance table `d`) fit the pseudo-linear pattern, as (cyclic order
+    rotated so that s <= t, s, t); None when no pairing fits."""
+    for pa, pb, pc, pe in _PAIRINGS:
+        a, b, c, e = quad[pa], quad[pb], quad[pc], quad[pe]
+        s = d[a][b]
+        t = d[b][c]
+        if d[c][e] != s or d[e][a] != t:
+            continue
+        if d[a][c] != s + t or d[b][e] != s + t:
+            continue
+        if s <= t:
+            return (a, b, c, e), s, t
+        return (b, c, e, a), t, s
+    return None
+
+
 def plq_classify(m: MetricSpace) -> PLQ | None:
     """Test a four-point space against the pseudo-linear pattern.
 
@@ -128,23 +148,16 @@ def plq_classify(m: MetricSpace) -> PLQ | None:
     """
     if m.n != 4:
         raise WrongArity(f"pseudo-linear classification needs 4 points, got {m.n}")
-    d = m.dist
-    for a, b, c, e in _PAIRINGS:
-        s = d[a][b]
-        t = d[b][c]
-        if d[c][e] != s or d[e][a] != t:
-            continue
-        if d[a][c] != s + t or d[b][e] != s + t:
-            continue
-        order = (a, b, c, e) if s <= t else (b, c, e, a)
-        labs = tuple(m.labels[i] for i in order)
-        return PLQ(labs, min(s, t), max(s, t))  # type: ignore[arg-type]
-    return None
+    match = _plq_match(m.dist, (0, 1, 2, 3))
+    if match is None:
+        return None
+    order, s, t = match
+    return PLQ(tuple(m.labels[i] for i in order), s, t)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
 class QuadInequality:
-    lhs: Fraction
+    lhs: Rational
     bound: Fraction
     slack: Fraction
 
@@ -160,7 +173,7 @@ def quad_inequality(m: MetricSpace, ordering: Iterable[str]) -> QuadInequality:
     d = m.d
     p = d(x1, x2) + d(x2, x3) + d(x3, x4) + d(x4, x1)
     lhs = d(x1, x3) * d(x2, x4) - d(x1, x2) * d(x3, x4) - d(x4, x1) * d(x2, x3)
-    bound = p * p / 8
+    bound = Fraction(p * p, 8)
     slack = bound - lhs
     if slack < 0:
         raise InternalVerificationFailure(
@@ -206,14 +219,33 @@ def check_conjecture_42(g: Graph) -> ConjectureViolation | None:
     return None
 
 
-def four_subset_status(g: Graph, metric: MetricSpace, subset: tuple[str, ...]) -> tuple[bool, bool]:
+def _c44_status(
+    d: tuple[tuple[Rational, ...], ...], quad: tuple[int, int, int, int]
+) -> tuple[bool, bool]:
     """(induced subgraph is a 4-cycle, distances form an equilateral
-    pseudo-linear quadruple) for one 4-vertex subset."""
-    shape = classify_shape(induced_subgraph(g, subset))
-    holds_i = shape.is_cycle and shape.size == 4
-    plq = plq_classify(metric.restrict(subset))
-    holds_ii = plq is not None and plq.equilateral
+    pseudo-linear quadruple) for the vertices `quad`, read from the rows
+    `d` of a graph's geodesic metric, where adjacency is distance 1.
+
+    The induced subgraph is a 4-cycle exactly when it is 2-regular: each
+    of the four vertices is adjacent to exactly two of the other three.
+    """
+    a, b, c, e = quad
+    da, db, dc = d[a], d[b], d[c]
+    ab, ac, ae = da[b] == 1, da[c] == 1, da[e] == 1
+    bc, be, ce = db[c] == 1, db[e] == 1, dc[e] == 1
+    holds_i = (ab + ac + ae == 2 and ab + bc + be == 2
+               and ac + bc + ce == 2 and ae + be + ce == 2)
+    match = _plq_match(d, quad)
+    holds_ii = match is not None and match[1] == match[2]
     return holds_i, holds_ii
+
+
+def four_subset_status(metric: MetricSpace, subset: Iterable[str]) -> tuple[bool, bool]:
+    """(induced subgraph is a 4-cycle, distances form an equilateral
+    pseudo-linear quadruple) for one 4-vertex subset of a graph, given the
+    graph's geodesic metric."""
+    quad = tuple(metric.index(lab) for lab in _require_four(subset))
+    return _c44_status(metric.dist, quad)  # type: ignore[arg-type]
 
 
 def check_conjecture_44(g: Graph) -> list[ConjectureViolation]:
@@ -223,12 +255,14 @@ def check_conjecture_44(g: Graph) -> list[ConjectureViolation]:
         raise Disconnected("conjecture check requires a connected graph")
     if g.n < 4:
         raise TooSmall(f"need at least 4 vertices, got {g.n}")
-    metric = geodesic_metric(g)
+    d = geodesic_metric(g).dist
+    labels = g.vertex_labels
     out = []
-    for subset in itertools.combinations(g.vertex_labels, 4):
-        holds_i, holds_ii = four_subset_status(g, metric, subset)
+    for quad in itertools.combinations(range(g.n), 4):
+        holds_i, holds_ii = _c44_status(d, quad)
         if holds_i != holds_ii:
             direction = "i_implies_ii" if holds_i else "ii_implies_i"
+            subset = tuple(labels[i] for i in quad)
             out.append(ConjectureViolation("C44", g, subset, direction))
     return out
 
@@ -239,7 +273,7 @@ def replay_violation(v: ConjectureViolation) -> bool:
         again = check_conjecture_42(v.graph)
         return again is not None and again.direction == v.direction and again.witness == v.witness
     if v.conjecture_id == "C44":
-        holds_i, holds_ii = four_subset_status(v.graph, geodesic_metric(v.graph), v.witness)
+        holds_i, holds_ii = four_subset_status(geodesic_metric(v.graph), v.witness)
         if holds_i == holds_ii:
             return False
         return v.direction == ("i_implies_ii" if holds_i else "ii_implies_i")

@@ -19,7 +19,6 @@ raises `InternalVerificationFailure` rather than a user-facing error.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .errors import (
     ConditionFailed,
@@ -30,6 +29,7 @@ from .errors import (
 from .graph import Graph, _bfs_from, is_connected
 from .metric import (
     MetricSpace,
+    Rational,
     _require_integer,
     ceiling_metric,
     compute_x2_set,
@@ -74,7 +74,7 @@ class DistanceMismatch:
     """
 
     pair: tuple[str, str]
-    expected: Fraction
+    expected: Rational
     actual: int
     kind: str = "distance"
 
@@ -96,7 +96,7 @@ def verify_map(
         targets = {emb.target(lab) for lab in m.labels}
         if len(targets) != g.n:
             return DistanceMismatch(
-                (m.labels[0], m.labels[-1]), Fraction(0),
+                (m.labels[0], m.labels[-1]), 0,
                 g.n - len(targets), kind="not_onto",
             )
     for i, x in enumerate(m.labels):

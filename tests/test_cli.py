@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from metricgraph import cycle_graph, dump_graph, dump_metric, geodesic_metric, parse_graph, path_graph
+from metricgraph import Graph, cycle_graph, dump_graph, dump_metric, geodesic_metric, parse_graph, path_graph
 from metricgraph.cli import main
 
 import randgen
@@ -243,6 +243,51 @@ def test_check_quad_ineq(tmp_path, capsys):
     assert doc["equality"] is True
 
 
+def test_check_quad_ineq_on_graph_with_int_distances(tmp_path, capsys):
+    """Graph distances are ints, so p^2/8 must stay an exact rational."""
+    c4 = Graph.from_edges(["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 3), (0, 3)])
+    path = write(tmp_path, "c4g.json", dump_graph(c4))
+    code, out, _ = run(capsys, "check", path, "a", "b", "c", "d", "--quad-ineq")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["bound"] == 2 and doc["equality"] is True
+
+
+def _reject_float(literal: str):
+    raise AssertionError(f"float {literal} in output")
+
+
+@pytest.mark.parametrize("kind", ["graph", "integer", "decimal"])
+def test_no_float_in_any_output(tmp_path, capsys, kind):
+    rng = random.Random(11)
+    if kind == "graph":
+        graph = write(tmp_path, "g.json", dump_graph(randgen.random_connected_graph(rng, 7)))
+        code, out, _ = run(capsys, "distances", graph)
+        assert code == 0
+        json.loads(out, parse_float=_reject_float)
+        metric = write(tmp_path, "m.json", out)
+    elif kind == "integer":
+        metric = write(tmp_path, "m.json", dump_metric(
+            randgen.random_subset_metric(rng, 6, min_points=4)))
+        graph = metric
+    else:
+        metric = write(tmp_path, "m.json", json.dumps({
+            "points": ["a", "b", "c", "d"],
+            "distances": [[0, "1.25", "1.5", 1.75], ["1.25", 0, "13/10", "1.9"],
+                          ["1.5", "13/10", 0, 1], [1.75, "1.9", 1, 0]]}))
+        graph = metric
+    labels = json.loads((tmp_path / "m.json").read_text())["points"][:4]
+    commands = [
+        ("validate", metric), ("embed", metric), ("ceil-embed", metric),
+        ("check", "--mb", graph), ("check", "--line", graph),
+        ("check", "--plq", graph, *labels), ("check", "--quad-ineq", graph, *labels),
+    ]
+    for argv in commands:
+        code, out, _ = run(capsys, *argv)
+        assert code in (0, 1, 2), argv
+        json.loads(out, parse_float=_reject_float)
+
+
 def test_check_bad_labels(tmp_path, capsys):
     path = write(tmp_path, "c4m.json", dump_metric(geodesic_metric(cycle_graph(4))))
     code, _, _ = run(capsys, "check", "--plq", path, "v0", "v1", "v2", "zz")
@@ -274,6 +319,16 @@ def test_search_deterministic_across_jobs(capsys):
 def test_search_bad_conjecture(capsys):
     code, _, _ = run(capsys, "search", "--conjecture", "9.9")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--jobs", "0"), ("--jobs", "-2"), ("--max-violations", "-1"), ("--max-violations", "0"),
+])
+def test_search_rejects_nonpositive_counts(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--conjecture", "4.4", "--max-n", "4", flag, value])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
 
 
 def test_search_max_n_guard(capsys):

@@ -48,6 +48,15 @@ def test_parse_rational_forms():
     assert parse_rational(Fraction(5, 2)) == Fraction(5, 2)
 
 
+def test_parse_rational_stores_integral_values_as_int():
+    for value in (3, "3", "3.0", "6/2", "3e0", Fraction(6, 2)):
+        assert type(parse_rational(value)) is int and parse_rational(value) == 3
+    for value in ("2.3", "1/2", "1e-3", Fraction(5, 2)):
+        assert type(parse_rational(value)) is Fraction
+    m = parse_metric('{"points": ["a", "b"], "distances": [[0, 2.0], [2.0, 0]]}')
+    assert {type(v) for row in m.dist for v in row} == {int}
+
+
 def test_parse_rational_rejects_floats_and_junk():
     with pytest.raises(ParseError):
         parse_rational(2.3)
@@ -246,22 +255,21 @@ def test_x2_examples():
 @settings(max_examples=60)
 @given(st.integers(0, 2 ** 32))
 def test_x2_matches_kay_chartrand(seed):
-    """The condition fails exactly when some irreducible pair exists, and
-    the reported witness is the first such pair; membership agrees with the
-    direct betweenness oracle."""
+    """The Kay-Chartrand witness is the first irreducible pair, or None when
+    there is none; both agree with the direct betweenness oracle."""
     rng = random.Random(seed)
     m = (randgen.random_subset_metric(rng, 6) if rng.random() < 0.6
          else randgen.random_int_metric_rejection(rng, rng.randint(2, 5)))
     x2 = compute_x2_set(m)
-    witness = kay_chartrand_check(m)
-    if witness is None:
-        assert len(x2) == 0
-    else:
-        assert list(x2)[0] == witness
-    for i in range(m.n):
-        for j in range(i + 1, m.n):
-            expected = m.dist[i][j] >= 2 and not oracles.has_between_point(m, i, j)
-            assert ((m.labels[i], m.labels[j]) in x2) == expected
+    expected = [
+        (m.labels[i], m.labels[j])
+        for i in range(m.n)
+        for j in range(i + 1, m.n)
+        if m.dist[i][j] >= 2 and not oracles.has_between_point(m, i, j)
+    ]
+    assert list(x2) == expected
+    assert kay_chartrand_check(m) == next(iter(x2), None)
+    assert kay_chartrand_check(m) == next(iter(expected), None)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +289,7 @@ def test_ceiling_idempotent_and_dominates(seed):
     m = randgen.random_decimal_metric(rng, 5)
     c = ceiling_metric(m)
     assert is_integer_metric(c)
+    assert {type(v) for row in c.dist for v in row} == {int}
     assert ceiling_metric(c) == c
     for i in range(m.n):
         for j in range(m.n):

@@ -32,7 +32,7 @@ from metricgraph import (
     replay_violation,
     search,
 )
-from metricgraph.quadruples import assemble_report, ConjectureViolation
+from metricgraph.quadruples import _c44_status, assemble_report, ConjectureViolation, four_subset_status
 
 import oracles
 import randgen
@@ -282,8 +282,28 @@ def test_induced_four_cycles_are_unit_equilateral_quadruples():
     assert found > 0
 
 
+def test_c44_status_matches_shape_and_plq_route():
+    """The distance-matrix status of every 4-subset equals the route through
+    an induced subgraph's shape and the restricted metric's classification."""
+    from metricgraph import classify_shape, induced_subgraph
+
+    graphs = [g for n in range(4, 7) for g in enumerate_connected_graphs(n)]
+    for g in graphs + [cycle_graph(8)]:
+        m = geodesic_metric(g)
+        for quad in itertools.combinations(range(g.n), 4):
+            subset = tuple(g.vertex_labels[i] for i in quad)
+            shape = classify_shape(induced_subgraph(g, subset))
+            plq = plq_classify(m.restrict(subset))
+            expected = (shape.is_cycle and shape.size == 4,
+                        plq is not None and plq.equilateral)
+            assert _c44_status(m.dist, quad) == expected
+            assert four_subset_status(m, subset[::-1]) == expected
+
+
 def test_violations_replay():
-    for v in check_conjecture_44(cycle_graph(8)):
+    violations = check_conjecture_44(cycle_graph(8))
+    assert violations
+    for v in violations:
         assert replay_violation(v)
     fake = ConjectureViolation("C44", cycle_graph(8), ("v0", "v1", "v2", "v3"), "ii_implies_i")
     assert not replay_violation(fake)
