@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import sys
 from pathlib import Path
 
@@ -27,18 +26,10 @@ from .errors import (
     UnknownLabel,
     WrongArity,
 )
-from .graph import Graph, dump_graph, geodesic_metric, graph_doc, parse_graph
+from .graph import dump_graph, geodesic_metric, graph_doc, parse_graph
 from .metric import MetricSpace, dump_metric, is_integer_metric, kay_chartrand_check, parse_metric, rational_to_json
-from .quadruples import (
-    assemble_report,
-    check_graph,
-    line_embed,
-    mb_check,
-    plq_classify,
-    quad_inequality,
-    search_graphs,
-)
-from .realization import RealizationResult, ceil_embed, embed, realize, verify_map
+from .quadruples import line_embed, mb_check, plq_classify, quad_inequality, search
+from .realization import RealizationResult, ceil_embed, embed, realize
 
 USAGE_ERROR = 2
 DOMAIN_NEGATIVE = 1
@@ -156,16 +147,16 @@ def _write_artifacts(args: argparse.Namespace, result: RealizationResult) -> dic
     return out_doc
 
 
-def _finish_construction(args: argparse.Namespace, name: str, m: MetricSpace,
+def _finish_construction(args: argparse.Namespace, name: str,
                          result: RealizationResult) -> int:
-    if args.require_onto:
-        mismatch = verify_map(m, result.graph, result.map, require_onto=True)
-        if mismatch is not None:
-            _emit({"command": name, "error": "not_onto",
-                   "unmapped_vertices": mismatch.actual})
-            _note(f"{name}: map is not onto the host graph "
-                  f"({mismatch.actual} extra vertices); not an isometry")
-            return DOMAIN_NEGATIVE
+    # Every host vertex is a point or an auxiliary vertex, and points map
+    # one to one, so the map is onto exactly when there are no auxiliaries.
+    if args.require_onto and result.aux_count:
+        _emit({"command": name, "error": "not_onto",
+               "unmapped_vertices": result.aux_count})
+        _note(f"{name}: map is not onto the host graph "
+              f"({result.aux_count} extra vertices); not an isometry")
+        return DOMAIN_NEGATIVE
     doc = {"command": name}
     doc.update(_write_artifacts(args, result))
     _emit(doc)
@@ -188,18 +179,17 @@ def cmd_realize(args: argparse.Namespace) -> int:
             return DOMAIN_NEGATIVE
         result = embed(m)
         name = "realize+fallback"
-    return _finish_construction(args, name, m, result)
+    return _finish_construction(args, name, result)
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
     m = _load_metric(args.input, args.format)
-    return _finish_construction(args, "embed", m, embed(m))
+    return _finish_construction(args, "embed", embed(m))
 
 
 def cmd_ceil_embed(args: argparse.Namespace) -> int:
-    m = _load_metric(args.input, args.format)
-    result = ceil_embed(m)
-    code = _finish_construction(args, "ceil-embed", m, result)
+    result = ceil_embed(_load_metric(args.input, args.format))
+    code = _finish_construction(args, "ceil-embed", result)
     if code == 0:
         _note("ceil-embed: d <= d_G < d + 1 verified for all pairs")
     return code
@@ -281,32 +271,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     raise ParseError("choose one of --mb, --line, --plq, --quad-ineq")
 
 
-def _search_worker(item: tuple[str, Graph]):
-    return check_graph(item[0], item[1])
-
-
 def cmd_search(args: argparse.Namespace) -> int:
-    conjecture_id = {"4.2": "C42", "C42": "C42", "4.4": "C44", "C44": "C44"}.get(
-        args.conjecture
-    )
-    if conjecture_id is None:
-        raise ParseError(f"unknown conjecture {args.conjecture!r}; use 4.2 or 4.4")
-    graphs = search_graphs(conjecture_id, args.max_n)
-    if args.jobs > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
-            per_graph = pool.imap(
-                _search_worker,
-                ((conjecture_id, g) for g in graphs),
-                chunksize=16,
-            )
-            report = assemble_report(conjecture_id, args.max_n, per_graph,
-                                     args.max_violations)
-    else:
-        report = assemble_report(
-            conjecture_id, args.max_n,
-            (check_graph(conjecture_id, g) for g in graphs),
-            args.max_violations,
-        )
+    conjecture_id = {"4.2": "C42", "4.4": "C44"}.get(args.conjecture, args.conjecture)
+    report = search(conjecture_id, args.max_n, args.max_violations, args.jobs)
     sys.stdout.write(report.to_json())
     _note(f"search: {report.graphs_checked} graphs checked, "
           f"{len(report.violations)} violation(s) recorded")

@@ -199,16 +199,15 @@ def _connected_flags(masks: np.ndarray, n: int) -> np.ndarray:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_connected_graphs(n: int, max_n: int = HARD_CAP) -> Iterator[Graph]:
+def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of connected graphs on n
     vertices, in increasing bitmask order.
 
     Each yielded graph's bitmask is the minimum of its permutation orbit,
     so it coincides with the graph's canonical form.
     """
-    cap = min(max_n, HARD_CAP)
-    if n < 1 or n > cap:
-        raise TooLarge(f"enumeration supports 1 <= n <= {cap}, got {n}")
+    if n < 1 or n > HARD_CAP:
+        raise TooLarge(f"enumeration supports 1 <= n <= {HARD_CAP}, got {n}")
     if n == 1:
         yield Graph(("v0",), ((),))
         return
@@ -231,5 +230,5 @@ def enumerate_connected_graphs(n: int, max_n: int = HARD_CAP) -> Iterator[Graph]
             yield graph_from_mask(n, mask)
 
 
-def count_connected_graphs(n: int, max_n: int = HARD_CAP) -> int:
-    return sum(1 for _ in enumerate_connected_graphs(n, max_n))
+def count_connected_graphs(n: int) -> int:
+    return sum(1 for _ in enumerate_connected_graphs(n))

@@ -16,17 +16,20 @@ replayable violations - never verdicts about the conjectures themselves.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .enumeration import HARD_CAP, enumerate_connected_graphs
 from .errors import (
     Disconnected,
     EmptyGraph,
     InternalVerificationFailure,
+    ParseError,
     TooLarge,
     TooSmall,
     WrongArity,
@@ -314,25 +317,13 @@ class ConjectureReport:
 
 
 def check_graph(conjecture_id: str, g: Graph) -> list[ConjectureViolation]:
-    """Per-graph work item shared by the serial and parallel search paths."""
+    """Per-graph work item of `search`, run in-process or in a pool worker."""
     if conjecture_id == "C42":
         v = check_conjecture_42(g)
         return [] if v is None else [v]
     if conjecture_id == "C44":
         return check_conjecture_44(g)
-    raise ValueError(f"unknown conjecture id {conjecture_id!r}")
-
-
-def search_graphs(conjecture_id: str, max_n: int, max_enum: int = HARD_CAP) -> Iterator[Graph]:
-    """The deterministic graph stream a search walks: all connected
-    isomorphism classes, smallest vertex count first."""
-    if conjecture_id not in _CONJECTURES:
-        raise ValueError(f"unknown conjecture id {conjecture_id!r}")
-    start = _CONJECTURES[conjecture_id]
-    if not 3 <= max_n <= min(max_enum, HARD_CAP):
-        raise TooLarge(f"search needs 3 <= max_n <= {min(max_enum, HARD_CAP)}, got {max_n}")
-    for n in range(start, max_n + 1):
-        yield from enumerate_connected_graphs(n, max_enum)
+    raise ParseError(f"unknown conjecture id {conjecture_id!r}; use C42 or C44")
 
 
 def assemble_report(
@@ -355,14 +346,29 @@ def search(
     conjecture_id: str,
     max_n: int,
     max_violations: int = 100,
-    max_enum: int = HARD_CAP,
+    jobs: int = 1,
 ) -> ConjectureReport:
-    """Run a conjecture checker across every enumerated connected graph
-    up to max_n vertices; deterministic for fixed inputs."""
-    stream = search_graphs(conjecture_id, max_n, max_enum)
-    return assemble_report(
-        conjecture_id,
-        max_n,
-        (check_graph(conjecture_id, g) for g in stream),
-        max_violations,
+    """Run a conjecture checker across every connected isomorphism class
+    up to max_n vertices, smallest vertex count first.
+
+    With jobs > 1 the checks run in a process pool; the graphs are still
+    enumerated here and the results are read back in order, so the report
+    is the same for every `jobs`.  jobs == 1 runs in-process, no pool.
+    """
+    if conjecture_id not in _CONJECTURES:
+        raise ParseError(f"unknown conjecture id {conjecture_id!r}; use C42 or C44")
+    if not 3 <= max_n <= HARD_CAP:
+        raise TooLarge(f"search needs 3 <= max_n <= {HARD_CAP}, got {max_n}")
+    if jobs < 1:
+        raise TooSmall(f"search needs jobs >= 1, got {jobs}")
+    graphs = (
+        g
+        for n in range(_CONJECTURES[conjecture_id], max_n + 1)
+        for g in enumerate_connected_graphs(n)
     )
+    check = functools.partial(check_graph, conjecture_id)
+    if jobs == 1:
+        return assemble_report(conjecture_id, max_n, map(check, graphs), max_violations)
+    with multiprocessing.Pool(jobs) as pool:
+        per_graph = pool.imap(check, graphs, chunksize=16)
+        return assemble_report(conjecture_id, max_n, per_graph, max_violations)

@@ -124,11 +124,23 @@ def test_require_onto(tmp_path, capsys):
     metric = write(tmp_path, "egy.json", EGYPTIAN_JSON)
     code, out, _ = run(capsys, "embed", metric, "--require-onto")
     assert code == 1
-    assert json.loads(out)["error"] == "not_onto"
+    doc = json.loads(out)
+    assert doc["error"] == "not_onto"
+    assert doc["unmapped_vertices"] == 9  # the auxiliary vertices
 
     p4 = write(tmp_path, "p4.json", dump_metric(geodesic_metric(path_graph(4))))
     code, _, _ = run(capsys, "realize", p4, "--require-onto")
     assert code == 0
+
+    # Ceiling distortion is not an onto failure: the host is a triangle on
+    # the three points, with no auxiliary vertex.
+    halves = write(tmp_path, "halves.json",
+                   '{"points": ["a", "b", "c"], "distances": '
+                   '[[0,"1/2","1/2"],["1/2",0,"1/2"],["1/2","1/2",0]]}')
+    code, out, _ = run(capsys, "ceil-embed", halves, "--require-onto")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["vertices"] == 3 and doc["aux_count"] == 0
 
 
 def test_realize_non_integer_is_usage_error(tmp_path, capsys):

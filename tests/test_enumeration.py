@@ -104,5 +104,3 @@ def test_enumeration_cap():
         list(enumerate_connected_graphs(9))
     with pytest.raises(TooLarge):
         list(enumerate_connected_graphs(0))
-    with pytest.raises(TooLarge):
-        list(enumerate_connected_graphs(7, max_n=6))

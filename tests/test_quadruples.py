@@ -16,6 +16,7 @@ from metricgraph import (
     EmptyGraph,
     Graph,
     MetricSpace,
+    ParseError,
     TooLarge,
     TooSmall,
     WrongArity,
@@ -32,6 +33,7 @@ from metricgraph import (
     replay_violation,
     search,
 )
+from metricgraph import quadruples
 from metricgraph.quadruples import _c44_status, assemble_report, ConjectureViolation, four_subset_status
 
 import oracles
@@ -331,8 +333,10 @@ def test_search_bounds():
         search("C42", 2, 10)
     with pytest.raises(TooLarge):
         search("C42", 9, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         search("C99", 5, 10)
+    with pytest.raises(TooSmall):
+        search("C42", 5, 10, jobs=0)
 
 
 def test_search_report_json_deterministic():
@@ -343,6 +347,16 @@ def test_search_report_json_deterministic():
     assert doc["conjecture"] == "C44"
     assert doc["max_n"] == 5
     assert doc["violations"] == []
+    for conjecture_id in ("C42", "C44"):
+        assert search(conjecture_id, 6, jobs=2).to_json() == search(conjecture_id, 6).to_json()
+
+
+def test_search_jobs_one_runs_in_process(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("jobs=1 must not start a process pool")
+
+    monkeypatch.setattr(quadruples.multiprocessing, "Pool", no_pool)
+    assert search("C44", 5, jobs=1).graphs_checked == 27
 
 
 def test_assemble_report_caps_violations():

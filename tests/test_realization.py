@@ -23,7 +23,6 @@ from metricgraph import (
     embed,
     geodesic_metric,
     kay_chartrand_check,
-    path_graph,
     realize,
     shortest_path,
     verify_map,
@@ -231,17 +230,6 @@ def test_verify_map_errors():
     disconnected = Graph.from_edges(["a", "b"], [])
     with pytest.raises(Disconnected):
         verify_map(m, disconnected, EmbeddingMap({"a": "a", "b": "b"}))
-
-
-def test_verify_map_require_onto():
-    r = embed(EGYPTIAN)
-    mismatch = verify_map(EGYPTIAN, r.graph, r.map, require_onto=True)
-    assert mismatch is not None and mismatch.kind == "not_onto"
-    assert mismatch.actual == 9  # the auxiliary vertices are unreached
-
-    rr = realize(geodesic_metric(path_graph(4)))
-    m = geodesic_metric(path_graph(4))
-    assert verify_map(m, rr.graph, rr.map, require_onto=True) is None
 
 
 def test_embedding_map_injective():
