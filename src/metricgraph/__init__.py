@@ -23,7 +23,6 @@ from .errors import (
 )
 from .metric import (
     MetricSpace,
-    X2Set,
     between,
     ceiling_metric,
     compute_x2_set,
@@ -50,7 +49,6 @@ from .graph import (
 )
 from .enumeration import canonical_form, count_connected_graphs, enumerate_connected_graphs
 from .realization import (
-    EmbeddingMap,
     RealizationResult,
     ceil_embed,
     embed,
@@ -78,15 +76,14 @@ __all__ = [
     "NotIntegerMetric", "ConditionFailed", "InternalVerificationFailure",
     "Disconnected", "EmptySubset", "EmptyGraph", "TooLarge", "TooSmall",
     "WrongArity",
-    "MetricSpace", "X2Set", "parse_metric", "dump_metric", "parse_rational",
+    "MetricSpace", "parse_metric", "dump_metric", "parse_rational",
     "format_rational", "is_integer_metric", "between", "kay_chartrand_check",
     "compute_x2_set", "ceiling_metric",
     "Graph", "ShapeClass", "parse_graph", "dump_graph", "geodesic_distances",
     "geodesic_metric", "is_connected", "induced_subgraph", "classify_shape",
     "shortest_path", "path_graph", "cycle_graph",
     "canonical_form", "enumerate_connected_graphs", "count_connected_graphs",
-    "EmbeddingMap", "RealizationResult", "realize", "embed", "ceil_embed",
-    "verify_map",
+    "RealizationResult", "realize", "embed", "ceil_embed", "verify_map",
     "mb_check", "line_embed", "PLQ", "plq_classify", "quad_inequality",
     "check_conjecture_42", "check_conjecture_44", "search",
     "ConjectureReport", "ConjectureViolation", "replay_violation",

@@ -63,7 +63,8 @@ class EmptyGraph(MetricGraphError):
 
 
 class TooLarge(MetricGraphError):
-    """Vertex count exceeds the configured enumeration/canonicalization cap."""
+    """Vertex count exceeds a configured cap: the enumeration and
+    canonicalization cap, or the host-graph size cap of an embedding."""
 
 
 class TooSmall(MetricGraphError):

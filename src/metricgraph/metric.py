@@ -233,25 +233,6 @@ def between(m: MetricSpace, x: str, y: str, z: str) -> bool:
     return m.dist[ix][iz] == m.dist[ix][iy] + m.dist[iy][iz]
 
 
-@dataclass(frozen=True)
-class X2Set:
-    """The metrically irreducible pairs: distance >= 2 and no strictly
-    between point.  Each such pair receives its own subdivision path in the
-    embedding construction."""
-
-    pairs: tuple[tuple[str, str], ...]
-
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        return iter(self.pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __contains__(self, pair: tuple[str, str]) -> bool:
-        a, b = pair
-        return (a, b) in self.pairs or (b, a) in self.pairs
-
-
 def _irreducible_pairs(m: MetricSpace) -> Iterator[tuple[str, str]]:
     """Pairs at distance >= 2 with no point between them, lazily and in
     lexicographic order by point index.  Requires an integer metric."""
@@ -269,9 +250,12 @@ def _irreducible_pairs(m: MetricSpace) -> Iterator[tuple[str, str]]:
                 yield (m.labels[i], m.labels[j])
 
 
-def compute_x2_set(m: MetricSpace) -> X2Set:
-    """All irreducible pairs, ordered lexicographically by point index."""
-    return X2Set(tuple(_irreducible_pairs(m)))
+def compute_x2_set(m: MetricSpace) -> tuple[tuple[str, str], ...]:
+    """The metrically irreducible pairs: distance >= 2 and no strictly
+    between point, as label pairs in lexicographic order by point index.
+    Each such pair receives its own subdivision path in the embedding
+    construction.  Requires an integer metric."""
+    return tuple(_irreducible_pairs(m))
 
 
 def kay_chartrand_check(m: MetricSpace) -> tuple[str, str] | None:

@@ -26,7 +26,6 @@ from typing import Iterable
 
 from .enumeration import HARD_CAP, enumerate_connected_graphs
 from .errors import (
-    Disconnected,
     EmptyGraph,
     InternalVerificationFailure,
     ParseError,
@@ -34,7 +33,7 @@ from .errors import (
     TooSmall,
     WrongArity,
 )
-from .graph import Graph, classify_shape, geodesic_metric, graph_doc, is_connected
+from .graph import Graph, classify_shape, geodesic_metric, graph_doc
 from .metric import MetricSpace, Rational
 
 
@@ -207,13 +206,12 @@ def check_conjecture_42(g: Graph) -> ConjectureViolation | None:
 
     Consistent (None) when the two agree.  The infinite shapes (ray,
     double ray) cannot occur among finite inputs, so the shape side is
-    just {path, C4}.
+    just {path, C4}.  Raises `Disconnected` through `geodesic_metric`.
     """
-    if not is_connected(g):
-        raise Disconnected("conjecture check requires a connected graph")
+    m = geodesic_metric(g)
     if g.edge_count() == 0:
         raise EmptyGraph("conjecture applies to graphs with at least one edge")
-    mb_witness = mb_check(geodesic_metric(g))
+    mb_witness = mb_check(m)
     shape_ok = _shape_in_conjecture(g)
     if mb_witness is None and not shape_ok:
         return ConjectureViolation("C42", g, (), "mb_implies_shape")
@@ -253,12 +251,11 @@ def four_subset_status(metric: MetricSpace, subset: Iterable[str]) -> tuple[bool
 
 def check_conjecture_44(g: Graph) -> list[ConjectureViolation]:
     """All 4-vertex subsets where induced-4-cycle and equilateral
-    pseudo-linear status disagree (empty list = consistent on g)."""
-    if not is_connected(g):
-        raise Disconnected("conjecture check requires a connected graph")
+    pseudo-linear status disagree (empty list = consistent on g).
+    Raises `Disconnected` through `geodesic_metric`."""
+    d = geodesic_metric(g).dist
     if g.n < 4:
         raise TooSmall(f"need at least 4 vertices, got {g.n}")
-    d = geodesic_metric(g).dist
     labels = g.vertex_labels
     out = []
     for quad in itertools.combinations(range(g.n), 4):
@@ -361,6 +358,8 @@ def search(
         raise TooLarge(f"search needs 3 <= max_n <= {HARD_CAP}, got {max_n}")
     if jobs < 1:
         raise TooSmall(f"search needs jobs >= 1, got {jobs}")
+    if max_violations < 1:
+        raise TooSmall(f"search needs max_violations >= 1, got {max_violations}")
     graphs = (
         g
         for n in range(_CONJECTURES[conjecture_id], max_n + 1)

@@ -18,19 +18,14 @@ raises `InternalVerificationFailure` rather than a user-facing error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .errors import (
-    ConditionFailed,
-    Disconnected,
-    InternalVerificationFailure,
-    UnknownLabel,
-)
+from .errors import ConditionFailed, Disconnected, InternalVerificationFailure, ParseError, TooLarge
 from .graph import Graph, _bfs_from, is_connected
 from .metric import (
+    RESERVED_PREFIX,
     MetricSpace,
     Rational,
-    _require_integer,
     ceiling_metric,
     compute_x2_set,
     kay_chartrand_check,
@@ -38,84 +33,86 @@ from .metric import (
 
 AUX_PREFIX = "__aux"
 
-
-@dataclass(frozen=True)
-class EmbeddingMap:
-    """Injective assignment of metric-space points to graph vertices."""
-
-    assignment: dict[str, str]
-    verified: bool = False
-
-    def __post_init__(self) -> None:
-        values = list(self.assignment.values())
-        if len(set(values)) != len(values):
-            raise ValueError("embedding map must be injective")
-
-    def target(self, label: str) -> str:
-        try:
-            return self.assignment[label]
-        except KeyError:
-            raise UnknownLabel(f"point {label!r} is not mapped") from None
+# Largest host graph `embed` will build: one vertex per point plus d - 1
+# per irreducible pair of distance d.
+MAX_HOST_VERTICES = 1_000_000
 
 
 @dataclass(frozen=True)
 class RealizationResult:
+    """A host graph whose geodesic metric contains the input metric.
+
+    The metric's points are the graph's first `graph.n - aux_count`
+    vertices, in the metric's order and under their own labels; the other
+    `aux_count` vertices are auxiliary subdivision vertices.
+    """
+
     graph: Graph
-    map: EmbeddingMap
     aux_count: int
 
 
 @dataclass(frozen=True)
 class DistanceMismatch:
-    """Witness of a failed map verification: d(pair) != d_G(mapped pair)."""
+    """Witness of a failed map verification: d(pair) != d_G(pair)."""
 
     pair: tuple[str, str]
     expected: Rational
     actual: int
 
 
-def verify_map(m: MetricSpace, g: Graph, emb: EmbeddingMap) -> DistanceMismatch | None:
-    """BFS check that the map preserves every pairwise distance exactly.
+def verify_map(m: MetricSpace, g: Graph) -> DistanceMismatch | None:
+    """BFS check that each point of `m`, taken as the vertex of `g` with
+    the same label, keeps every pairwise distance exactly.
 
     Returns None on success, else the first mismatching pair with expected
-    and actual distances.
+    and actual distances.  Raises `Disconnected` for a disconnected `g`
+    and `UnknownLabel` when a point is not a vertex of `g`.
     """
     if not is_connected(g):
         raise Disconnected("verification requires a connected host graph")
-    for lab in m.labels:
-        g.index(emb.target(lab))
+    at = [g.index(lab) for lab in m.labels]
     for i, x in enumerate(m.labels):
-        dist = _bfs_from(g, g.index(emb.target(x)))
+        dist = _bfs_from(g, at[i])
+        row = m.dist[i]
         for j in range(i + 1, m.n):
-            y = m.labels[j]
-            actual = dist[g.index(emb.target(y))]
-            if m.dist[i][j] != actual:
-                return DistanceMismatch((x, y), m.dist[i][j], actual)  # type: ignore[arg-type]
+            actual = dist[at[j]]
+            if row[j] != actual:
+                return DistanceMismatch((x, m.labels[j]), row[j], actual)  # type: ignore[arg-type]
     return None
 
 
-def _identity_map(m: MetricSpace) -> EmbeddingMap:
-    return EmbeddingMap({lab: lab for lab in m.labels})
+def aux_labels(x: str, y: str, length: int) -> list[str]:
+    """Fresh interior vertex labels for the subdivision path of pair {x, y}."""
+    lo, hi = (x, y) if x < y else (y, x)
+    return [f"{AUX_PREFIX}::{lo}::{hi}::{k}" for k in range(1, length)]
 
 
-def _distance_one_edges(m: MetricSpace) -> list[tuple[int, int]]:
-    return [
-        (i, j)
-        for i in range(m.n)
-        for j in range(i + 1, m.n)
-        if m.dist[i][j] == 1
-    ]
-
-
-def _verified(m: MetricSpace, g: Graph, aux_count: int) -> RealizationResult:
-    emb = _identity_map(m)
-    mismatch = verify_map(m, g, emb)
+def _build(m: MetricSpace, x2: tuple[tuple[str, str], ...]) -> RealizationResult:
+    """The one builder behind `realize` (empty `x2`) and `embed`: the
+    distance-1 edges on the points, plus for each pair in `x2` a private
+    path of fresh interior vertices whose length equals the pair's
+    distance, verified by BFS before returning."""
+    aux_count = sum(m.d(x, y) - 1 for x, y in x2)
+    if m.n + aux_count > MAX_HOST_VERTICES:
+        raise TooLarge(f"the host graph would have more than {MAX_HOST_VERTICES} vertices")
+    if x2 and any(lab.startswith(RESERVED_PREFIX) for lab in m.labels):
+        raise ParseError(f"point labels starting with {RESERVED_PREFIX!r} are reserved")
+    labels = list(m.labels)
+    edges = [(i, j) for i in range(m.n) for j in range(i + 1, m.n) if m.dist[i][j] == 1]
+    for x, y in x2:
+        lo, hi = (x, y) if x < y else (y, x)
+        first = len(labels)
+        labels.extend(aux_labels(x, y, m.d(x, y)))
+        chain = [m.index(lo), *range(first, len(labels)), m.index(hi)]
+        edges.extend(zip(chain, chain[1:]))
+    g = Graph.from_edges(labels, edges)
+    mismatch = verify_map(m, g)
     if mismatch is not None:
         raise InternalVerificationFailure(
             f"constructed graph does not reproduce the metric: "
             f"d{mismatch.pair} should be {mismatch.expected}, got {mismatch.actual}"
         )
-    return RealizationResult(graph=g, map=replace(emb, verified=True), aux_count=aux_count)
+    return RealizationResult(g, aux_count)
 
 
 def realize(m: MetricSpace) -> RealizationResult:
@@ -123,20 +120,12 @@ def realize(m: MetricSpace) -> RealizationResult:
 
     Requires an integer metric in which every pair at distance >= 2 has a
     between point; otherwise raises `ConditionFailed` with the first
-    violating pair.  The identity map is verified by BFS before returning.
+    violating pair.  The result is verified by BFS before returning.
     """
-    _require_integer(m)
     witness = kay_chartrand_check(m)
     if witness is not None:
         raise ConditionFailed(witness)
-    g = Graph.from_edges(m.labels, _distance_one_edges(m))
-    return _verified(m, g, aux_count=0)
-
-
-def aux_labels(x: str, y: str, length: int) -> list[str]:
-    """Fresh interior vertex labels for the subdivision path of pair {x, y}."""
-    lo, hi = (x, y) if x < y else (y, x)
-    return [f"{AUX_PREFIX}::{lo}::{hi}::{k}" for k in range(1, length)]
+    return _build(m, ())
 
 
 def embed(m: MetricSpace) -> RealizationResult:
@@ -146,25 +135,10 @@ def embed(m: MetricSpace) -> RealizationResult:
     irreducible pair, a private path of fresh interior vertices whose
     length equals the pair's distance.  Interior vertex sets of distinct
     pairs are disjoint by construction.  BFS verification of all pairwise
-    distances runs before returning.
+    distances runs before returning.  Raises `TooLarge` above
+    `MAX_HOST_VERTICES` and `ParseError` for reserved point labels.
     """
-    _require_integer(m)
-    x2 = compute_x2_set(m)
-    labels = list(m.labels)
-    edges = _distance_one_edges(m)
-    aux_count = 0
-    for x, y in x2:
-        length = int(m.d(x, y))
-        interior = aux_labels(x, y, length)
-        chain = [m.index(x) if x < y else m.index(y)]
-        for lab in interior:
-            labels.append(lab)
-            chain.append(len(labels) - 1)
-        chain.append(m.index(y) if x < y else m.index(x))
-        edges.extend((min(a, b), max(a, b)) for a, b in zip(chain, chain[1:]))
-        aux_count += length - 1
-    g = Graph.from_edges(labels, edges)
-    return _verified(m, g, aux_count=aux_count)
+    return _build(m, compute_x2_set(m))
 
 
 def ceil_embed(m: MetricSpace) -> RealizationResult:

@@ -111,6 +111,38 @@ def test_embed_egyptian_artifacts(tmp_path, capsys):
     assert map_doc["aux_count"] == 9
 
 
+def test_embed_egyptian_bytes(tmp_path, capsys):
+    metric = write(tmp_path, "egy.json", EGYPTIAN_JSON)
+    graph = (
+        '{"edges": [[0,3],[0,5],[1,4],[1,8],[2,7],[2,11],[3,4],[5,6],[6,7],'
+        '[8,9],[9,10],[10,11]],"vertices": ["x1","x2","x3",'
+        '"__aux::x1::x2::1","__aux::x1::x2::2","__aux::x1::x3::1",'
+        '"__aux::x1::x3::2","__aux::x1::x3::3","__aux::x2::x3::1",'
+        '"__aux::x2::x3::2","__aux::x2::x3::3","__aux::x2::x3::4"]}'
+    )
+    assignment = '{"x1": "x1","x2": "x2","x3": "x3"}'
+    code, out, _ = run(capsys, "embed", metric)
+    assert code == 0
+    assert out == (
+        f'{{"assignment": {assignment},"aux_count": 9,"command": "embed",'
+        f'"edges": 12,"graph": {graph},"map": null,"out": null,'
+        f'"verified": true,"vertices": 12}}\n'
+    )
+    out_map = tmp_path / "map.json"
+    code, _, _ = run(capsys, "embed", metric, "--map", str(out_map))
+    assert code == 0
+    assert out_map.read_text() == f'{{"assignment": {assignment},"aux_count": 9}}\n'
+
+
+def test_embed_too_large_is_usage_error(tmp_path, capsys):
+    path = write(tmp_path, "huge.json",
+                 '{"points": ["a", "b"], "distances": [[0,"1e100000"],["1e100000",0]]}')
+    for argv in (["embed", path], ["ceil-embed", path], ["realize", path, "--fallback-embed"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"] == "TooLarge"
+
+
 def test_ceil_embed(tmp_path, capsys):
     path = write(tmp_path, "d23.json",
                  '{"points": ["a", "b"], "distances": [[0,"2.3"],["2.3",0]]}')

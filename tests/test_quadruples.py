@@ -337,6 +337,9 @@ def test_search_bounds():
         search("C99", 5, 10)
     with pytest.raises(TooSmall):
         search("C42", 5, 10, jobs=0)
+    for hidden in (0, -5):
+        with pytest.raises(TooSmall):
+            search("C42", 4, max_violations=hidden)
 
 
 def test_search_report_json_deterministic():

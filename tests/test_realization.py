@@ -14,7 +14,10 @@ from metricgraph import (
     Disconnected,
     Graph,
     MetricSpace,
+    InternalVerificationFailure,
     NotIntegerMetric,
+    ParseError,
+    TooLarge,
     UnknownLabel,
     canonical_form,
     ceil_embed,
@@ -27,7 +30,8 @@ from metricgraph import (
     shortest_path,
     verify_map,
 )
-from metricgraph.realization import EmbeddingMap, aux_labels
+from metricgraph import realization
+from metricgraph.realization import aux_labels
 
 import randgen
 
@@ -47,8 +51,7 @@ def test_realize_line_metric_gives_path():
     assert r.aux_count == 0
     assert r.graph.vertex_labels == ("a", "b", "c", "d")
     assert r.graph.edges() == [(0, 1), (1, 2), (2, 3)]
-    assert r.map.verified
-    assert r.map.assignment == {lab: lab for lab in "abcd"}
+    assert verify_map(m, r.graph) is None
 
 
 def test_realize_round_trips_c12():
@@ -95,7 +98,7 @@ def test_embed_egyptian_is_c12():
     assert canonical_form(r.graph, max_vertices=12) == canonical_form(
         cycle_graph(12), max_vertices=12
     )
-    assert verify_map(EGYPTIAN, r.graph, r.map) is None
+    assert verify_map(EGYPTIAN, r.graph) is None
 
 
 def test_embed_two_points_d5():
@@ -130,7 +133,7 @@ def test_embed_soundness_and_size_formula(seed):
     m = (randgen.random_subset_metric(rng, 7) if rng.random() < 0.7
          else randgen.random_int_metric_rejection(rng, rng.randint(2, 5)))
     r = embed(m)
-    assert verify_map(m, r.graph, r.map) is None
+    assert verify_map(m, r.graph) is None
     expected_aux = sum(int(m.d(x, y)) - 1 for (x, y) in compute_x2_set(m))
     assert r.aux_count == expected_aux
     assert r.graph.n == m.n + expected_aux
@@ -192,8 +195,8 @@ def test_ceil_embed_distortion_bound(seed):
     d_g = geodesic_distances(r.graph)
     for i, x in enumerate(m.labels):
         for j in range(i + 1, m.n):
-            gi = r.graph.index(r.map.target(x))
-            gj = r.graph.index(r.map.target(m.labels[j]))
+            gi = r.graph.index(x)
+            gj = r.graph.index(m.labels[j])
             assert m.dist[i][j] <= d_g[gi][gj] < m.dist[i][j] + 1
 
 
@@ -203,12 +206,13 @@ def test_ceil_embed_distortion_bound(seed):
 
 def test_verify_map_pass_and_perturbed_failure():
     r = embed(EGYPTIAN)
-    assert verify_map(EGYPTIAN, r.graph, r.map) is None
+    assert verify_map(EGYPTIAN, r.graph) is None
 
     # C11 analog: ring positions 0, 3, 7 give arcs 3, 4, 4 - the 5 shrinks
-    c11 = cycle_graph(11)
-    emb = EmbeddingMap({"x1": "v0", "x2": "v3", "x3": "v7"})
-    mismatch = verify_map(EGYPTIAN, c11, emb)
+    labels = [f"v{i}" for i in range(11)]
+    labels[0], labels[3], labels[7] = "x1", "x2", "x3"
+    c11 = Graph.from_edges(labels, cycle_graph(11).edges())
+    mismatch = verify_map(EGYPTIAN, c11)
     assert mismatch is not None
     assert mismatch.pair == ("x2", "x3")
     assert mismatch.expected == 5 and mismatch.actual == 4
@@ -216,22 +220,47 @@ def test_verify_map_pass_and_perturbed_failure():
 
 def test_verify_map_single_point():
     m = MetricSpace.from_rows(["p"], [[0]])
-    g = Graph.from_edges(["q"], [])
-    assert verify_map(m, g, EmbeddingMap({"p": "q"})) is None
+    assert verify_map(m, Graph.from_edges(["p"], [])) is None
 
 
 def test_verify_map_errors():
     m = MetricSpace.from_rows(["a", "b"], [[0, 1], [1, 0]])
-    g = Graph.from_edges(["a", "b"], [(0, 1)])
     with pytest.raises(UnknownLabel):
-        verify_map(m, g, EmbeddingMap({"a": "a"}))
-    with pytest.raises(UnknownLabel):
-        verify_map(m, g, EmbeddingMap({"a": "a", "b": "zz"}))
-    disconnected = Graph.from_edges(["a", "b"], [])
+        verify_map(m, Graph.from_edges(["a", "zz"], [(0, 1)]))
     with pytest.raises(Disconnected):
-        verify_map(m, disconnected, EmbeddingMap({"a": "a", "b": "b"}))
+        verify_map(m, Graph.from_edges(["a", "b"], []))
 
 
-def test_embedding_map_injective():
-    with pytest.raises(ValueError):
-        EmbeddingMap({"a": "x", "b": "x"})
+# ---------------------------------------------------------------------------
+# robustness of the builder
+# ---------------------------------------------------------------------------
+
+def test_embed_rejects_a_host_graph_above_the_cap(monkeypatch):
+    huge = MetricSpace.from_rows(["a", "b"], [[0, "1e100000"], ["1e100000", 0]])
+    with pytest.raises(TooLarge):
+        embed(huge)
+    with pytest.raises(TooLarge):
+        ceil_embed(MetricSpace.from_rows(["a", "b"], [[0, "3333333.5"], ["3333333.5", 0]]))
+
+    monkeypatch.setattr(realization, "MAX_HOST_VERTICES", 6)
+    assert embed(MetricSpace.from_rows(["a", "b"], [[0, 5], [5, 0]])).graph.n == 6
+    with pytest.raises(TooLarge):
+        embed(MetricSpace.from_rows(["a", "b"], [[0, 6], [6, 0]]))
+
+
+def test_embed_rejects_reserved_point_labels():
+    m = MetricSpace.from_rows(["a", "b", "__aux::a::b::1"], [[0, 2, 3], [2, 0, 3], [3, 3, 0]])
+    with pytest.raises(ParseError, match="reserved"):
+        embed(m)
+    # No auxiliary vertex is needed, so nothing can collide.
+    host = geodesic_metric(embed(EGYPTIAN).graph)
+    assert embed(host).aux_count == 0
+    assert realize(host).graph == embed(host).graph
+
+
+def test_embed_raises_when_its_own_check_fails(monkeypatch):
+    one_short = aux_labels
+    monkeypatch.setattr(realization, "aux_labels",
+                        lambda x, y, length: one_short(x, y, length)[:-1])
+    with pytest.raises(InternalVerificationFailure):
+        embed(EGYPTIAN)
