@@ -61,8 +61,8 @@ def _load_metric_or_graph(path: str, fmt: str) -> MetricSpace:
     """Metric file, or graph file converted through its geodesic metric.
 
     JSON inputs are told apart by their keys; text inputs by the token
-    count of the first line (metric matrices start with `n`, graph files
-    with `n m`).
+    count of the first line: graph files start with `n m`, metric matrices
+    with `n` alone or with all `n*n` entries on the same line.
     """
     text = _read_input(path)
     stripped = text.lstrip()
@@ -77,10 +77,10 @@ def _load_metric_or_graph(path: str, fmt: str) -> MetricSpace:
             return geodesic_metric(parse_graph(text, "json"))
         raise ParseError("JSON input is neither a metric nor a graph document")
     first = stripped.splitlines()[0].split() if stripped else []
-    if len(first) == 1:
-        return parse_metric(text, "matrix")
     if len(first) == 2:
         return geodesic_metric(parse_graph(text, "text"))
+    if first:
+        return parse_metric(text, "matrix")
     raise ParseError("cannot tell metric matrix from graph text input")
 
 

@@ -19,17 +19,21 @@ of isomorphism classes, not with the number of labeled graphs.  Because
 masks are visited in increasing order, each emitted representative is the
 minimum of its orbit, i.e. exactly the graph whose bitmask equals its own
 canonical form.
+
+Only this sieve uses numpy, so numpy is imported inside it rather than at
+module level: a process that never enumerates never loads it.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import TooLarge
 from .graph import Graph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 HARD_CAP = 8  # beyond this the labeled-bitmask space is not worth attempting
 
@@ -135,6 +139,8 @@ class _PermTables:
     vertex permutation, to its contribution to the permuted bitmask."""
 
     def __init__(self, n: int):
+        import numpy as np
+
         self.n = n
         nbits = n * (n - 1) // 2
         self.nbits = nbits
@@ -181,6 +187,8 @@ def _tables_for(n: int) -> _PermTables:
 
 def _connected_flags(masks: np.ndarray, n: int) -> np.ndarray:
     """Boolean flags: which masks encode connected graphs on n vertices."""
+    import numpy as np
+
     nbits = n * (n - 1) // 2
     rows = [np.zeros(len(masks), dtype=np.uint16) for _ in range(n)]
     for c, (i, j) in enumerate(_pair_positions(n)):
@@ -211,6 +219,8 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     if n == 1:
         yield Graph(("v0",), ((),))
         return
+
+    import numpy as np
 
     tables = _tables_for(n)
     nbits = tables.nbits

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -86,6 +87,16 @@ def find_metric_violation(
     Scan order is deterministic: diagonal entries, then symmetry and
     positivity over index pairs (i, j) with i < j, then the triangle
     inequality over triples (i, j, k) in lexicographic order.
+
+    Symmetry, positivity and the triangle inequality are tested on the
+    table's exact integer image t: every entry times the lcm L of all
+    denominators (the table itself when L = 1).  A pair i < j passes the
+    triangle test when t[i][j] is at most the row minimum of
+    t[i][k] + t[j][k] over all k; row j stands in for column j because
+    symmetry is checked first, and k = i or k = j gives exactly t[i][j].
+    Only a failing pair is rescanned k by k on the original values, so the
+    first violation, its witness and its message are those of the plain
+    triple loop.
     """
     n = len(dist)
     for i, row in enumerate(dist):
@@ -98,20 +109,27 @@ def find_metric_violation(
             return MetricViolation(
                 "diagonal", (i, i), f"d[{i}][{i}] = {dist[i][i]} != 0"
             )
+    scale = math.lcm(*{v.denominator for row in dist for v in row})
+    t = dist if scale == 1 else [
+        [v.numerator * (scale // v.denominator) for v in row] for row in dist
+    ]
     for i in range(n):
         for j in range(i + 1, n):
-            if dist[i][j] != dist[j][i]:
+            if t[i][j] != t[j][i]:
                 return MetricViolation(
                     "asymmetry", (i, j),
                     f"d[{i}][{j}] = {dist[i][j]} but d[{j}][{i}] = {dist[j][i]}",
                 )
-            if dist[i][j] <= 0:
+            if t[i][j] <= 0:
                 return MetricViolation(
                     "nonpositive", (i, j),
                     f"d[{i}][{j}] = {dist[i][j]} must be positive for distinct points",
                 )
     for i in range(n):
+        ti = t[i]
         for j in range(i + 1, n):
+            if ti[j] <= min(map(operator.add, ti, t[j])):
+                continue
             for k in range(n):
                 if k == i or k == j:
                     continue

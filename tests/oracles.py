@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from metricgraph import Graph, MetricSpace
+from metricgraph import Graph, MetricSpace, MetricViolation
 
 
 def brute_shortest_length(g: Graph, u: int, v: int) -> int | None:
@@ -161,3 +161,44 @@ def plq_pattern_orderings(m: MetricSpace) -> list[tuple[str, str, str, str]]:
         ):
             out.append(tuple(m.labels[i] for i in perm))
     return out
+
+
+def brute_first_violation(dist) -> MetricViolation | None:
+    """First metric-axiom violation by the plain scan: shape, diagonal,
+    symmetry and positivity per pair i < j, then every triple (i, j, k) in
+    lexicographic order, comparing the original values directly."""
+    n = len(dist)
+    for i, row in enumerate(dist):
+        if len(row) != n:
+            return MetricViolation(
+                "shape", (i,), f"row {i} has {len(row)} entries, expected {n}"
+            )
+    for i in range(n):
+        if dist[i][i] != 0:
+            return MetricViolation(
+                "diagonal", (i, i), f"d[{i}][{i}] = {dist[i][i]} != 0"
+            )
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dist[i][j] != dist[j][i]:
+                return MetricViolation(
+                    "asymmetry", (i, j),
+                    f"d[{i}][{j}] = {dist[i][j]} but d[{j}][{i}] = {dist[j][i]}",
+                )
+            if dist[i][j] <= 0:
+                return MetricViolation(
+                    "nonpositive", (i, j),
+                    f"d[{i}][{j}] = {dist[i][j]} must be positive for distinct points",
+                )
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                if k == i or k == j:
+                    continue
+                if dist[i][j] > dist[i][k] + dist[k][j]:
+                    return MetricViolation(
+                        "triangle", (i, j, k),
+                        f"d[{i}][{j}] = {dist[i][j]} > "
+                        f"{dist[i][k]} + {dist[k][j]} = d[{i}][{k}] + d[{k}][{j}]",
+                    )
+    return None

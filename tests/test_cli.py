@@ -297,6 +297,21 @@ def test_check_quad_ineq_on_graph_with_int_distances(tmp_path, capsys):
     assert doc["bound"] == 2 and doc["equality"] is True
 
 
+def test_check_reads_a_one_line_matrix(tmp_path, capsys):
+    """`n` and all n*n entries on one line is a metric matrix, as in
+    `validate`; the report matches the multi-line form."""
+    for rows in (["0 1 2", "1 0 1", "2 1 0"], ["0 1 2 1", "1 0 1 2", "2 1 0 1", "1 2 1 0"]):
+        one_line = write(tmp_path, "one.txt", f"{len(rows)} {' '.join(rows)}\n")
+        multi_line = write(tmp_path, "multi.txt", "\n".join([str(len(rows)), *rows]) + "\n")
+        for check in ("--mb", "--line"):
+            expected = run(capsys, "check", "--format", "text", check, multi_line)
+            assert expected[0] in (0, 1)
+            assert run(capsys, "check", "--format", "text", check, one_line) == expected
+    bad = write(tmp_path, "bad.txt", "2 0 1 1\n")
+    code, out, _ = run(capsys, "check", "--format", "text", "--mb", bad)
+    assert code == 2 and json.loads(out)["error"] == "ParseError"
+
+
 def _reject_float(literal: str):
     raise AssertionError(f"float {literal} in output")
 

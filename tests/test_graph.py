@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metricgraph import (
     Disconnected,
@@ -169,6 +171,30 @@ def test_graph_json_round_trip():
     g = randgen.random_connected_graph(random.Random(3), 7)
     assert parse_graph(dump_graph(g)) == g
     assert parse_graph(dump_graph(g, "text"), "text").edges() == g.edges()
+
+
+@st.composite
+def graphs(draw, format: str) -> Graph:
+    """Any simple graph on up to 8 vertices; text files name vertices v0..,
+    JSON keeps any label."""
+    n = draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    if format == "text":
+        labels = [f"v{i}" for i in range(n)]
+    else:
+        labels = draw(st.lists(st.text(min_size=1, max_size=4), min_size=n, max_size=n,
+                               unique=True))
+    return Graph.from_edges(labels, [p for p, take in zip(pairs, picks) if take])
+
+
+@settings(max_examples=80)
+@given(st.data(), st.sampled_from(["json", "text"]))
+def test_parse_inverts_dump(data, format):
+    g = data.draw(graphs(format))
+    back = parse_graph(dump_graph(g, format), format)
+    assert back.vertex_labels == g.vertex_labels
+    assert back.edges() == g.edges()
 
 
 def test_parse_graph_errors():

@@ -161,6 +161,34 @@ def test_dump_round_trips():
     assert parse_metric(dump_metric(m, "matrix"), format="matrix") == m
 
 
+_USER_LABEL = st.text(min_size=1, max_size=4).filter(lambda lab: not lab.startswith("__"))
+
+
+@st.composite
+def metrics(draw, format: str) -> MetricSpace:
+    """Rational metrics with every distance in [b, 2b], so any table is a
+    metric; matrix text names its points p0.., JSON keeps any user label."""
+    n = draw(st.integers(1, 6))
+    base = draw(st.fractions(Fraction(1, 100), 100, max_denominator=100))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            stretch = draw(st.fractions(0, 1, max_denominator=12))
+            rows[i][j] = rows[j][i] = base * (1 + stretch)
+    if format == "matrix":
+        labels = [f"p{i}" for i in range(n)]
+    else:
+        labels = draw(st.lists(_USER_LABEL, min_size=n, max_size=n, unique=True))
+    return MetricSpace.from_rows(labels, rows)
+
+
+@settings(max_examples=80)
+@given(st.data(), st.sampled_from(["json", "matrix"]))
+def test_parse_inverts_dump(data, format):
+    m = data.draw(metrics(format))
+    assert parse_metric(dump_metric(m, format), format) == m
+
+
 @settings(max_examples=60)
 @given(st.integers(0, 2 ** 32))
 def test_validation_witness_reproduces(seed):
@@ -187,6 +215,89 @@ def test_validation_witness_reproduces(seed):
     violation = find_metric_violation(table)
     assert violation is not None
     assert violation_reproduces(table, violation)
+
+
+def _assert_same_first_violation(table) -> MetricViolation | None:
+    got = find_metric_violation(table)
+    want = oracles.brute_first_violation(table)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert (got.kind, got.witness, str(got)) == (want.kind, want.witness, str(want))
+    return want
+
+
+def test_scan_matches_brute_scan_on_random_mixed_tables():
+    """Tables mixing int and Fraction entries, a few of them asymmetric;
+    about half are not metrics, so first witnesses are compared often."""
+    rng = random.Random(5)
+    values = [1, 2, 3, Fraction(1, 2), Fraction(3, 2), Fraction(5, 3), Fraction(7, 4)]
+    kinds = set()
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.choice(values)
+                if rng.random() < 0.03:
+                    rows[j][i] = rng.choice(values)
+        violation = _assert_same_first_violation(tuple(tuple(row) for row in rows))
+        kinds.add(None if violation is None else violation.kind)
+    assert kinds == {None, "asymmetry", "triangle"}
+
+
+def test_scan_matches_brute_scan_on_planted_violations():
+    """One to three planted faults of every kind in valid int and rational
+    metrics: the first one in scan order must win, with the same message."""
+    rng = random.Random(11)
+    kinds = set()
+    for _ in range(300):
+        m = (randgen.random_subset_metric(rng, 7) if rng.random() < 0.5
+             else randgen.random_decimal_metric(rng, 7))
+        rows = [list(row) for row in m.dist]
+        n = len(rows)
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.sample(range(n), 2)
+            kind = rng.choice(["diagonal", "asymmetry", "nonpositive", "triangle"])
+            if kind == "diagonal":
+                rows[i][i] = rng.choice([1, Fraction(1, 3)])
+            elif kind == "asymmetry":
+                rows[i][j] = rows[i][j] + Fraction(1, 7)
+            elif kind == "nonpositive":
+                rows[i][j] = rows[j][i] = rng.choice([0, -1, Fraction(-1, 2)])
+            else:
+                rows[i][j] = rows[j][i] = rows[i][j] * 3 + Fraction(1, 9)
+        if rng.random() < 0.2:
+            rows[rng.randrange(n)].pop()
+        violation = _assert_same_first_violation(tuple(tuple(row) for row in rows))
+        kinds.add(None if violation is None else violation.kind)
+    assert kinds >= {"shape", "diagonal", "asymmetry", "nonpositive", "triangle"}
+    # The only thirds entry faces a zero: an asymmetry, whatever the scale.
+    half = Fraction(1, 2)
+    table = ((0, Fraction(5, 3), half), (0, 0, half), (half, half, 0))
+    assert _assert_same_first_violation(table).kind == "asymmetry"
+
+
+def test_scan_matches_brute_scan_with_many_prime_denominators():
+    """Every entry has its own prime denominator, so the integer image is
+    scaled by a product of 91 primes; a tight pair stays valid and one
+    larger by 10^-30 is caught at the same witness."""
+    primes = [p for p in range(2, 600) if all(p % q for q in range(2, p))][:91]
+    n = 14
+    rows = [[0] * n for _ in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for (i, j), p in zip(pairs, primes):
+        rows[i][j] = rows[j][i] = 1 + Fraction(1, p)
+    table = tuple(tuple(row) for row in rows)
+    assert _assert_same_first_violation(table) is None
+
+    tight = min(rows[3][k] + rows[k][8] for k in range(n) if k not in (3, 8))
+    rows[3][8] = rows[8][3] = tight
+    assert _assert_same_first_violation(tuple(tuple(row) for row in rows)) is None
+    rows[3][8] = rows[8][3] = tight + Fraction(1, 10 ** 30)
+    violation = _assert_same_first_violation(tuple(tuple(row) for row in rows))
+    assert violation is not None and violation.witness[:2] == (3, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,11 @@ def test_verify_map_errors():
         verify_map(m, Graph.from_edges(["a", "zz"], [(0, 1)]))
     with pytest.raises(Disconnected):
         verify_map(m, Graph.from_edges(["a", "b"], []))
+    # Every point in one component, one isolated extra vertex.
+    with pytest.raises(Disconnected):
+        verify_map(m, Graph.from_edges(["a", "b", "c"], [(0, 1)]))
+    with pytest.raises(Disconnected):
+        verify_map(m, Graph.from_edges(["c", "a", "b"], [(1, 2)]))
 
 
 # ---------------------------------------------------------------------------
