@@ -10,34 +10,23 @@ vertex placements; the column-major pair order means a placement prefix of
 k vertices fixes the first k(k-1)/2 bits, so worse-than-best prefixes are
 pruned without losing exactness.
 
-`enumerate_connected_graphs` walks every labeled adjacency bitmask in
-increasing order, skips masks already known to be isomorphic to an earlier
-one, and emits each new connected representative.  Marking is done by
-expanding the full permutation orbit of each representative (vectorized
-with numpy byte-lookup tables), so the cost of dedup scales with the number
-of isomorphism classes, not with the number of labeled graphs.  Because
-masks are visited in increasing order, each emitted representative is the
-minimum of its orbit, i.e. exactly the graph whose bitmask equals its own
-canonical form.
-
-Only this sieve uses numpy, so numpy is imported inside it rather than at
-module level: a process that never enumerates never loads it.
+`enumerate_connected_graphs` uses orderly generation (R. C. Read, "Every one
+a winner", Ann. Discrete Math. 2, 1978) over orbit-minimal bitmasks: each
+class is reached once, at the one mask that is minimal in its orbit, and
+no table of labeled masks or permutations is built.  Each emitted
+representative is therefore exactly the graph whose bitmask equals its own
+canonical form.  Memory stays in the tens of megabytes; n = 8 (11 117
+classes) takes seconds and n = 9 (261 080 classes) a few minutes.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from .errors import TooLarge
 from .graph import Graph
 
-if TYPE_CHECKING:
-    import numpy as np
-
-HARD_CAP = 8  # beyond this the labeled-bitmask space is not worth attempting
-
-_tables_cache: dict[int, "_PermTables"] = {}
+HARD_CAP = 9  # n = 9 takes minutes; n = 10 has 11 716 571 classes
 
 
 def _pair_positions(n: int) -> list[tuple[int, int]]:
@@ -131,113 +120,95 @@ def canonical_form(g: Graph, max_vertices: int = 8) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Permutation byte tables (orbit expansion)
+# Enumeration (orderly generation)
 # ---------------------------------------------------------------------------
 
-class _PermTables:
-    """Per-n lookup tables mapping each byte of a bitmask, under every
-    vertex permutation, to its contribution to the permuted bitmask."""
+def _is_orbit_minimal(n: int, mask: int, nbr: list[int]) -> bool:
+    """Whether no vertex permutation maps the mask to a smaller one.
 
-    def __init__(self, n: int):
-        import numpy as np
-
-        self.n = n
-        nbits = n * (n - 1) // 2
-        self.nbits = nbits
-        self.nbytes = max(1, (nbits + 7) // 8)
-        pairs = _pair_positions(n)
-        pos_of = {pair: c for c, pair in enumerate(pairs)}
-        perms = list(itertools.permutations(range(n)))
-        nperm = len(perms)
-
-        # single[p, k, b] = permuted-mask bit contributed by source bit b of
-        # source byte k (byte k holds significances 8k..8k+7) under perm p
-        single = np.zeros((nperm, self.nbytes, 8), dtype=np.uint32)
-        for pi, perm in enumerate(perms):
-            for c, (i, j) in enumerate(pairs):
-                a, b = perm[i], perm[j]
-                tgt_sig = nbits - 1 - pos_of[(min(a, b), max(a, b))]
-                src_sig = nbits - 1 - c
-                single[pi, src_sig >> 3, src_sig & 7] = np.uint32(1) << tgt_sig
-
-        vals = np.arange(256, dtype=np.uint32)
-        bit_of = ((vals[:, None] >> np.arange(8)[None, :]) & 1).astype(np.uint32)
-        # distinct target bits per (perm, byte), so sum == bitwise OR
-        self.tables = np.einsum("vb,pkb->pkv", bit_of, single, dtype=np.uint64).astype(
-            np.uint32
-        )
-
-    def orbit(self, mask: int) -> np.ndarray:
-        """Permuted images of one mask under every vertex permutation."""
-        imgs = self.tables[:, 0, mask & 255].copy()
-        for k in range(1, self.nbytes):
-            imgs |= self.tables[:, k, (mask >> (8 * k)) & 255]
-        return imgs
-
-
-def _tables_for(n: int) -> _PermTables:
-    if n not in _tables_cache:
-        _tables_cache[n] = _PermTables(n)
-    return _tables_cache[n]
-
-
-# ---------------------------------------------------------------------------
-# Connectivity over mask chunks (vectorized)
-# ---------------------------------------------------------------------------
-
-def _connected_flags(masks: np.ndarray, n: int) -> np.ndarray:
-    """Boolean flags: which masks encode connected graphs on n vertices."""
-    import numpy as np
-
+    The column-prefix branch-and-bound of `canonical_form`, run against the
+    mask itself: placing the k-th vertex fixes column k, its adjacency to
+    the k vertices already placed.  A column below the mask's own column k
+    proves a smaller image, so the test fails at once; a larger column can
+    lead to no smaller image and is pruned; only equal prefixes go deeper.
+    """
     nbits = n * (n - 1) // 2
-    rows = [np.zeros(len(masks), dtype=np.uint16) for _ in range(n)]
-    for c, (i, j) in enumerate(_pair_positions(n)):
-        bit = ((masks >> np.uint32(nbits - 1 - c)) & np.uint32(1)).astype(np.uint16)
-        rows[i] |= bit << np.uint16(j)
-        rows[j] |= bit << np.uint16(i)
-    reach = np.ones(len(masks), dtype=np.uint16)
-    for _ in range(n - 1):
-        for i in range(n):
-            sel = (reach >> np.uint16(i)) & np.uint16(1)
-            reach |= rows[i] * sel
-    return reach == np.uint16((1 << n) - 1)
+    own = [(mask >> (nbits - k * (k + 1) // 2)) & ((1 << k) - 1) for k in range(n)]
+
+    def extend(k: int, verts: list[int], cols: list[int]) -> bool:
+        t = own[k]
+        if min(cols) < t:
+            return False
+        if k + 1 == n:
+            return True
+        for idx, v in enumerate(verts):
+            if cols[idx] != t:
+                continue
+            rest = verts[:idx] + verts[idx + 1 :]
+            rest_cols = cols[:idx] + cols[idx + 1 :]
+            nv = nbr[v]
+            if not extend(k + 1, rest, [(c << 1) | (nv >> u & 1) for u, c in zip(rest, rest_cols)]):
+                return False
+        return True
+
+    return extend(0, list(range(n)), [0] * n)
 
 
-# ---------------------------------------------------------------------------
-# Enumeration
-# ---------------------------------------------------------------------------
+def _is_connected(n: int, nbr: list[int]) -> bool:
+    reach = frontier = 1
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= nbr[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~reach
+        reach |= step
+    return reach == (1 << n) - 1
+
+
+def _connected_minimal_masks(n: int) -> list[int]:
+    """Every orbit-minimal mask of a connected graph on n vertices, sorted.
+
+    Setting the lowest-significance zero bit of an orbit-minimal mask gives
+    another one, so these masks form a tree rooted at K_n.  A node's
+    children are the node with one bit below its lowest zero bit cleared,
+    kept when orbit-minimal.  Removing an edge never reconnects a graph, so
+    a disconnected child is dropped with its whole subtree.
+    """
+    nbits = n * (n - 1) // 2
+    pairs = _pair_positions(n)
+    full = (1 << n) - 1
+    found = []
+    stack = [((1 << nbits) - 1, [full ^ (1 << v) for v in range(n)])]
+    while stack:
+        mask, nbr = stack.pop()
+        found.append(mask)
+        lowest_zero = (~mask & (mask + 1)).bit_length() - 1
+        for sig in range(lowest_zero):
+            i, j = pairs[nbits - 1 - sig]
+            child_nbr = list(nbr)
+            child_nbr[i] ^= 1 << j
+            child_nbr[j] ^= 1 << i
+            child = mask ^ (1 << sig)
+            if _is_connected(n, child_nbr) and _is_orbit_minimal(n, child, child_nbr):
+                stack.append((child, child_nbr))
+    found.sort()
+    return found
+
 
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of connected graphs on n
     vertices, in increasing bitmask order.
 
     Each yielded graph's bitmask is the minimum of its permutation orbit,
-    so it coincides with the graph's canonical form.
+    so it coincides with the graph's canonical form.  The whole level is
+    generated before the first graph is yielded.
     """
     if n < 1 or n > HARD_CAP:
         raise TooLarge(f"enumeration supports 1 <= n <= {HARD_CAP}, got {n}")
-    if n == 1:
-        yield Graph(("v0",), ((),))
-        return
-
-    import numpy as np
-
-    tables = _tables_for(n)
-    nbits = tables.nbits
-    total = 1 << nbits
-    seen = np.zeros(total, dtype=bool)
-    chunk = min(total, 1 << 18)
-
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        sub = np.arange(lo, hi, dtype=np.uint32)
-        conn = _connected_flags(sub, n)
-        candidates = sub[conn & ~seen[lo:hi]]
-        for mask in candidates.tolist():
-            if seen[mask]:
-                continue  # marked by an earlier representative in this chunk
-            seen[tables.orbit(mask)] = True
-            yield graph_from_mask(n, mask)
+    for mask in _connected_minimal_masks(n):
+        yield graph_from_mask(n, mask)
 
 
 def count_connected_graphs(n: int) -> int:

@@ -172,7 +172,8 @@ class MetricSpace:
     Instances are immutable and safe to share between workers.  Use
     `MetricSpace.from_rows` to build one from plain lists; it stores every
     integral distance as an `int` and every other one as a `Fraction`, and
-    never a float.  The constructor validates every metric axiom and raises
+    never a float.  The constructor accepts only `int` and `Fraction`
+    entries (`ParseError` otherwise), validates every metric axiom and raises
     `MetricViolation` with a concrete witness on failure.
     """
 
@@ -192,6 +193,13 @@ class MetricSpace:
                 "shape", (),
                 f"{len(self.labels)} labels but {len(self.dist)} table rows",
             )
+        for row in self.dist:
+            for v in row:
+                if type(v) is not int and type(v) is not Fraction:
+                    raise ParseError(
+                        f"distance {v!r} is not an int or a Fraction; "
+                        "MetricSpace.from_rows parses decimal strings"
+                    )
         violation = find_metric_violation(self.dist)
         if violation is not None:
             raise violation

@@ -391,7 +391,7 @@ def test_search_rejects_nonpositive_counts(capsys, flag, value):
 
 
 def test_search_max_n_guard(capsys):
-    code, _, _ = run(capsys, "search", "--conjecture", "4.2", "--max-n", "9")
+    code, _, _ = run(capsys, "search", "--conjecture", "4.2", "--max-n", "10")
     assert code == 2
 
 

@@ -12,9 +12,9 @@ from metricgraph.enumeration import mask_from_graph, mask_to_canonical_bytes
 import oracles
 import randgen
 
-# Connected graphs up to isomorphism, n = 1..7 (verified against the
-# independent permutation-orbit oracle below for n <= 5).
-KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+# Connected graphs up to isomorphism, n = 1..8 (OEIS A001349; checked
+# against the independent permutation-orbit oracle below for n <= 6).
+KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 
 def relabeled(g: Graph, rng: random.Random) -> Graph:
@@ -72,8 +72,26 @@ def test_enumeration_counts():
 
 
 def test_enumeration_against_orbit_oracle():
-    for n in range(1, 6):
+    for n in range(1, 7):
         assert sum(1 for _ in enumerate_connected_graphs(n)) == oracles.brute_connected_class_count(n)
+
+
+def test_enumeration_count_n8():
+    assert sum(1 for _ in enumerate_connected_graphs(8)) == KNOWN_COUNTS[8]
+
+
+def test_enumeration_matches_networkx_atlas():
+    """The atlas holds every graph on up to 7 vertices, one per class."""
+    nx = pytest.importorskip("networkx")
+    atlas: dict[int, set[bytes]] = {n: set() for n in range(1, 8)}
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() and nx.is_connected(h):
+            g = Graph.from_edges([f"a{v}" for v in range(h.number_of_nodes())], list(h.edges()))
+            atlas[g.n].add(canonical_form(g))
+    for n, forms in atlas.items():
+        emitted = [mask_to_canonical_bytes(n, mask_from_graph(g)) for g in enumerate_connected_graphs(n)]
+        assert len(emitted) == len(forms) == KNOWN_COUNTS[n]
+        assert set(emitted) == forms
 
 
 def test_enumeration_pairwise_distinct_canonical_forms():
@@ -101,6 +119,6 @@ def test_enumeration_all_connected_and_deterministic():
 
 def test_enumeration_cap():
     with pytest.raises(TooLarge):
-        list(enumerate_connected_graphs(9))
+        list(enumerate_connected_graphs(10))
     with pytest.raises(TooLarge):
         list(enumerate_connected_graphs(0))

@@ -116,6 +116,13 @@ def test_parse_diagonal_and_zero_offdiagonal():
     assert exc.value.kind == "nonpositive"
 
 
+
+@pytest.mark.parametrize("entry", [0.5, 1.0, "1", True])
+def test_constructor_rejects_non_exact_entries(entry):
+    with pytest.raises(ParseError, match="not an int or a Fraction"):
+        MetricSpace(("a", "b"), ((0, entry), (entry, 0)))
+    assert MetricSpace.from_rows(["a", "b"], [[0, "1/2"], ["1/2", 0]]).d("a", "b") == Fraction(1, 2)
+
 def test_parse_triangle_witness():
     with pytest.raises(MetricViolation) as exc:
         MetricSpace.from_rows(["a", "b", "c"], [[0, 1, 9], [1, 0, 1], [9, 1, 0]])

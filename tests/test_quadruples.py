@@ -332,7 +332,7 @@ def test_search_bounds():
     with pytest.raises(TooLarge):
         search("C42", 2, 10)
     with pytest.raises(TooLarge):
-        search("C42", 9, 10)
+        search("C42", 10, 10)
     with pytest.raises(ParseError):
         search("C99", 5, 10)
     with pytest.raises(TooSmall):

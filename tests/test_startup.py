@@ -1,7 +1,7 @@
-"""What a fresh process loads: numpy only when `search` enumerates.
+"""What a fresh process loads: no command loads numpy, `search` included.
 
-Each case runs in its own interpreter, because the test process itself has
-long since imported numpy.
+Each case runs in its own interpreter, because the test process itself may
+have imported numpy through another test dependency.
 """
 
 from __future__ import annotations
@@ -47,11 +47,11 @@ def test_embed_does_not_load_numpy(tmp_path):
     assert proc.stderr.endswith("numpy loaded: False\n")
 
 
-def test_search_loads_numpy_and_reports_the_same():
+def test_search_does_not_load_numpy_and_reports_the_same():
     proc = run_python(CLI_THEN_REPORT, "search", "--conjecture", "4.2", "--max-n", "4")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == search("C42", 4).to_json()
-    assert proc.stderr.endswith("numpy loaded: True\n")
+    assert proc.stderr.endswith("numpy loaded: False\n")
 
 
 def test_pool_forked_before_numpy_loads_gives_the_same_report():
