@@ -5,10 +5,11 @@ of its upper-triangle adjacency bit string (pairs ordered (0,1), (0,2),
 (1,2), (0,3), ...), packed into bytes behind a vertex-count prefix.  Equal
 byte strings characterize isomorphism exactly.
 
-`canonical_form` computes that minimum by branch-and-bound over partial
-vertex placements; the column-major pair order means a placement prefix of
-k vertices fixes the first k(k-1)/2 bits, so worse-than-best prefixes are
-pruned without losing exactness.
+Both `canonical_form` and the orderly generator below run one exact
+branch-and-bound over partial vertex placements, `_search`.  The
+column-major pair order means a placement prefix of k vertices fixes the
+first k(k-1)/2 bits, column by column, so a prefix whose column is above
+the bound is pruned without losing exactness.
 
 `enumerate_connected_graphs` uses orderly generation (R. C. Read, "Every one
 a winner", Ann. Discrete Math. 2, 1978) over orbit-minimal bitmasks: each
@@ -16,7 +17,7 @@ class is reached once, at the one mask that is minimal in its orbit, and
 no table of labeled masks or permutations is built.  Each emitted
 representative is therefore exactly the graph whose bitmask equals its own
 canonical form.  Memory stays in the tens of megabytes; n = 8 (11 117
-classes) takes seconds and n = 9 (261 080 classes) a few minutes.
+classes) takes seconds and n = 9 (261 080 classes) under two minutes.
 """
 
 from __future__ import annotations
@@ -26,30 +27,12 @@ from typing import Iterator
 from .errors import TooLarge
 from .graph import Graph
 
-HARD_CAP = 9  # n = 9 takes minutes; n = 10 has 11 716 571 classes
+HARD_CAP = 9  # n = 9 takes a minute or two; n = 10 has 11 716 571 classes
 
 
 def _pair_positions(n: int) -> list[tuple[int, int]]:
     """Vertex pairs in column-major triangle order."""
     return [(i, j) for j in range(n) for i in range(j)]
-
-
-def pack_bits(n: int, bits: list[int]) -> bytes:
-    """Vertex count prefix + bit string packed MSB-first."""
-    out = bytearray([n])
-    for t in range(0, len(bits), 8):
-        byte = 0
-        for u, b in enumerate(bits[t : t + 8]):
-            byte |= b << (7 - u)
-        out.append(byte)
-    return bytes(out)
-
-
-def mask_to_canonical_bytes(n: int, mask: int) -> bytes:
-    """Byte encoding of a bitmask known to be minimal in its orbit."""
-    nbits = n * (n - 1) // 2
-    bits = [(mask >> (nbits - 1 - c)) & 1 for c in range(nbits)]
-    return pack_bits(n, bits)
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
@@ -71,88 +54,92 @@ def mask_from_graph(g: Graph) -> int:
     return mask
 
 
+def _encode(n: int, mask: int) -> bytes:
+    """Vertex-count prefix + the C(n,2)-bit mask packed MSB-first."""
+    nbits = n * (n - 1) // 2
+    nbytes = -(-nbits // 8)
+    return bytes([n]) + (mask << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
+
+
 # ---------------------------------------------------------------------------
 # Canonical form (exact branch-and-bound minimization)
 # ---------------------------------------------------------------------------
 
-def canonical_form(g: Graph, max_vertices: int = 8) -> bytes:
+def _columns(n: int, mask: int) -> list[int]:
+    """Column k of the mask: the k bits of pairs (0,k), ..., (k-1,k)."""
+    nbits = n * (n - 1) // 2
+    return [(mask >> (nbits - k * (k + 1) // 2)) & ((1 << k) - 1) for k in range(n)]
+
+
+def _search(n: int, nbr: list[int], best: list[int], stop: bool) -> bool:
+    """Column-prefix branch-and-bound for the least column string.
+
+    `best` holds one column per position, the string of some vertex order.
+    Placing the k-th vertex fixes column k of every remaining vertex, its
+    adjacency to the k vertices already placed; only a vertex whose column
+    equals `best[k]` is placed, since a larger one leads to no smaller
+    string.  Each placement builds the next columns in one pass; one below
+    the bound proves a smaller string.  With `stop` the search then returns
+    True at once, leaving `best` as it was.  Otherwise that column of
+    `best` drops to it, the later ones are reset, and the search goes on,
+    leaving in `best` the least string over all vertex orders and
+    returning False.
+    """
+    top = n - 1
+    unset = [1 << n] * n  # above every column
+
+    def extend(k: int, cols: list[tuple[int, int]], cands: list[int] | range) -> bool:
+        # cols: (vertex, column k) for every remaining vertex; cands: the
+        # vertices among them whose column equals best[k].
+        t1 = best[k + 1]
+        for v in cands:
+            nv = nbr[v]
+            nxt = []
+            eq = []
+            low = t1
+            for u, cu in cols:
+                if u != v:
+                    cu = cu << 1 | (nv >> u & 1)
+                    if cu <= low:
+                        if cu < low:
+                            if stop:
+                                return True
+                            low = cu
+                            eq = []
+                        eq.append(u)
+                    nxt.append((u, cu))
+            if low < t1:
+                best[k + 1] = t1 = low
+                best[k + 2 :] = unset[k + 2 :]
+            if eq and k + 1 < top and extend(k + 1, nxt, eq):
+                return True
+        return False
+
+    return n > 1 and extend(0, [(v, 0) for v in range(n)], range(n))
+
+
+def canonical_form(g: Graph, max_vertices: int = HARD_CAP) -> bytes:
     """Minimum adjacency bit string over all vertex permutations, as bytes.
 
-    Exact: prunes only placement prefixes already lexicographically worse
-    than the best completed string.  Equal byte strings <=> isomorphic.
+    Exact: starts from the graph's own labeling and prunes only placement
+    prefixes already lexicographically worse than the best string found.
+    Equal byte strings <=> isomorphic.
     """
     n = g.n
     if n > max_vertices:
         raise TooLarge(f"canonical form capped at {max_vertices} vertices, got {n}")
-    if n == 1:
-        return pack_bits(1, [])
-
-    nbr_mask = [0] * n
-    for i in range(n):
-        for j in g.adjacency[i]:
-            nbr_mask[i] |= 1 << j
-
-    best: list[int] | None = None
-
-    def extend(perm: list[int], used: int, bits: list[int]) -> None:
-        nonlocal best
-        k = len(perm)
-        if k == n:
-            if best is None or bits < best:
-                best = list(bits)
-            return
-        cands = []
-        for v in range(n):
-            if (used >> v) & 1:
-                continue
-            col = [(nbr_mask[p] >> v) & 1 for p in perm]
-            cands.append((col, v))
-        cands.sort()
-        for col, v in cands:
-            new_bits = bits + col
-            if best is not None and new_bits > best[: len(new_bits)]:
-                break  # candidates are sorted; all later ones are worse
-            extend(perm + [v], used | (1 << v), new_bits)
-
-    extend([], 0, [])
-    assert best is not None
-    return pack_bits(n, best)
+    nbr = [sum(1 << j for j in g.adjacency[i]) for i in range(n)]
+    best = _columns(n, mask_from_graph(g))
+    _search(n, nbr, best, stop=False)
+    mask = 0
+    for k, col in enumerate(best):
+        mask = mask << k | col
+    return _encode(n, mask)
 
 
 # ---------------------------------------------------------------------------
 # Enumeration (orderly generation)
 # ---------------------------------------------------------------------------
-
-def _is_orbit_minimal(n: int, mask: int, nbr: list[int]) -> bool:
-    """Whether no vertex permutation maps the mask to a smaller one.
-
-    The column-prefix branch-and-bound of `canonical_form`, run against the
-    mask itself: placing the k-th vertex fixes column k, its adjacency to
-    the k vertices already placed.  A column below the mask's own column k
-    proves a smaller image, so the test fails at once; a larger column can
-    lead to no smaller image and is pruned; only equal prefixes go deeper.
-    """
-    nbits = n * (n - 1) // 2
-    own = [(mask >> (nbits - k * (k + 1) // 2)) & ((1 << k) - 1) for k in range(n)]
-
-    def extend(k: int, verts: list[int], cols: list[int]) -> bool:
-        t = own[k]
-        if min(cols) < t:
-            return False
-        if k + 1 == n:
-            return True
-        for idx, v in enumerate(verts):
-            if cols[idx] != t:
-                continue
-            rest = verts[:idx] + verts[idx + 1 :]
-            rest_cols = cols[:idx] + cols[idx + 1 :]
-            nv = nbr[v]
-            if not extend(k + 1, rest, [(c << 1) | (nv >> u & 1) for u, c in zip(rest, rest_cols)]):
-                return False
-        return True
-
-    return extend(0, list(range(n)), [0] * n)
-
 
 def _is_connected(n: int, nbr: list[int]) -> bool:
     reach = frontier = 1
@@ -173,8 +160,9 @@ def _connected_minimal_masks(n: int) -> list[int]:
     Setting the lowest-significance zero bit of an orbit-minimal mask gives
     another one, so these masks form a tree rooted at K_n.  A node's
     children are the node with one bit below its lowest zero bit cleared,
-    kept when orbit-minimal.  Removing an edge never reconnects a graph, so
-    a disconnected child is dropped with its whole subtree.
+    kept when `_search` finds no smaller column string.  Removing an edge
+    never reconnects a graph, so a disconnected child is dropped with its
+    whole subtree.
     """
     nbits = n * (n - 1) // 2
     pairs = _pair_positions(n)
@@ -191,7 +179,7 @@ def _connected_minimal_masks(n: int) -> list[int]:
             child_nbr[i] ^= 1 << j
             child_nbr[j] ^= 1 << i
             child = mask ^ (1 << sig)
-            if _is_connected(n, child_nbr) and _is_orbit_minimal(n, child, child_nbr):
+            if _is_connected(n, child_nbr) and not _search(n, child_nbr, _columns(n, child), stop=True):
                 stack.append((child, child_nbr))
     found.sort()
     return found
@@ -210,6 +198,3 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     for mask in _connected_minimal_masks(n):
         yield graph_from_mask(n, mask)
 
-
-def count_connected_graphs(n: int) -> int:
-    return sum(1 for _ in enumerate_connected_graphs(n))

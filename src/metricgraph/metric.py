@@ -142,25 +142,6 @@ def find_metric_violation(
     return None
 
 
-def violation_reproduces(
-    dist: tuple[tuple[Rational, ...], ...], violation: MetricViolation
-) -> bool:
-    """Re-evaluate a reported witness against the table it came from."""
-    w = violation.witness
-    if violation.kind == "shape":
-        return len(dist[w[0]]) != len(dist)
-    if violation.kind == "diagonal":
-        return dist[w[0]][w[0]] != 0
-    if violation.kind == "asymmetry":
-        return dist[w[0]][w[1]] != dist[w[1]][w[0]]
-    if violation.kind == "nonpositive":
-        return dist[w[0]][w[1]] <= 0
-    if violation.kind == "triangle":
-        i, j, k = w
-        return dist[i][j] > dist[i][k] + dist[k][j]
-    return False
-
-
 # ---------------------------------------------------------------------------
 # MetricSpace
 # ---------------------------------------------------------------------------
@@ -261,18 +242,18 @@ def between(m: MetricSpace, x: str, y: str, z: str) -> bool:
 
 def _irreducible_pairs(m: MetricSpace) -> Iterator[tuple[str, str]]:
     """Pairs at distance >= 2 with no point between them, lazily and in
-    lexicographic order by point index.  Requires an integer metric."""
+    lexicographic order by point index.  Requires an integer metric.
+
+    k = i and k = j always give d(i,k) + d(k,j) = d(i,j), and any other k
+    that does lies between i and j, so a pair is irreducible exactly when
+    the row sum d[i] + d[j] hits d(i,j) twice."""
     _require_integer(m)
     d = m.dist
-    n = m.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i][j] < 2:
-                continue
-            if not any(
-                k != i and k != j and d[i][j] == d[i][k] + d[k][j]
-                for k in range(n)
-            ):
+    add = operator.add
+    for i, row in enumerate(d):
+        for j in range(i + 1, m.n):
+            dij = row[j]
+            if dij >= 2 and list(map(add, row, d[j])).count(dij) == 2:
                 yield (m.labels[i], m.labels[j])
 
 

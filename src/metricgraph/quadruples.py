@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -368,6 +367,8 @@ def search(
     check = functools.partial(check_graph, conjecture_id)
     if jobs == 1:
         return assemble_report(conjecture_id, max_n, map(check, graphs), max_violations)
+    import multiprocessing  # only a pooled search pays for loading it
+
     with multiprocessing.Pool(jobs) as pool:
         per_graph = pool.imap(check, graphs, chunksize=16)
         return assemble_report(conjecture_id, max_n, per_graph, max_violations)

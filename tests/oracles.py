@@ -12,6 +12,7 @@ import itertools
 from fractions import Fraction
 
 from metricgraph import Graph, MetricSpace, MetricViolation
+from metricgraph.metric import Rational
 
 
 def brute_shortest_length(g: Graph, u: int, v: int) -> int | None:
@@ -117,6 +118,40 @@ def brute_min_encoding(g: Graph) -> bytes:
     return bytes(out)
 
 
+# The orderly generator's minimality test from before its search was shared
+# with `canonical_form`, kept verbatim: it slices and re-zips the remaining
+# vertices at every node, a different route to the same answer.
+def is_orbit_minimal(n: int, mask: int, nbr: list[int]) -> bool:
+    """Whether no vertex permutation maps the mask to a smaller one.
+
+    The column-prefix branch-and-bound of `canonical_form`, run against the
+    mask itself: placing the k-th vertex fixes column k, its adjacency to
+    the k vertices already placed.  A column below the mask's own column k
+    proves a smaller image, so the test fails at once; a larger column can
+    lead to no smaller image and is pruned; only equal prefixes go deeper.
+    """
+    nbits = n * (n - 1) // 2
+    own = [(mask >> (nbits - k * (k + 1) // 2)) & ((1 << k) - 1) for k in range(n)]
+
+    def extend(k: int, verts: list[int], cols: list[int]) -> bool:
+        t = own[k]
+        if min(cols) < t:
+            return False
+        if k + 1 == n:
+            return True
+        for idx, v in enumerate(verts):
+            if cols[idx] != t:
+                continue
+            rest = verts[:idx] + verts[idx + 1 :]
+            rest_cols = cols[:idx] + cols[idx + 1 :]
+            nv = nbr[v]
+            if not extend(k + 1, rest, [(c << 1) | (nv >> u & 1) for u, c in zip(rest, rest_cols)]):
+                return False
+        return True
+
+    return extend(0, list(range(n)), [0] * n)
+
+
 def line_embed_by_signs(m: MetricSpace) -> dict[str, Fraction] | None:
     """Line-embedding oracle: fix the first point at 0 and try every sign
     pattern for the remaining points' distances from it."""
@@ -202,3 +237,22 @@ def brute_first_violation(dist) -> MetricViolation | None:
                         f"{dist[i][k]} + {dist[k][j]} = d[{i}][{k}] + d[{k}][{j}]",
                     )
     return None
+
+
+def violation_reproduces(
+    dist: tuple[tuple[Rational, ...], ...], violation: MetricViolation
+) -> bool:
+    """Re-evaluate a reported witness against the table it came from."""
+    w = violation.witness
+    if violation.kind == "shape":
+        return len(dist[w[0]]) != len(dist)
+    if violation.kind == "diagonal":
+        return dist[w[0]][w[0]] != 0
+    if violation.kind == "asymmetry":
+        return dist[w[0]][w[1]] != dist[w[1]][w[0]]
+    if violation.kind == "nonpositive":
+        return dist[w[0]][w[1]] <= 0
+    if violation.kind == "triangle":
+        i, j, k = w
+        return dist[i][j] > dist[i][k] + dist[k][j]
+    return False

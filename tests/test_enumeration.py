@@ -7,7 +7,7 @@ import random
 import pytest
 
 from metricgraph import Graph, TooLarge, canonical_form, cycle_graph, enumerate_connected_graphs, path_graph
-from metricgraph.enumeration import mask_from_graph, mask_to_canonical_bytes
+from metricgraph.enumeration import _columns, _encode, _pair_positions, _search, mask_from_graph
 
 import oracles
 import randgen
@@ -58,8 +58,33 @@ def test_canonical_iff_isomorphic():
 
 def test_canonical_cap():
     with pytest.raises(TooLarge):
-        canonical_form(cycle_graph(9))
-    assert canonical_form(cycle_graph(9), max_vertices=9)
+        canonical_form(cycle_graph(10))
+    assert canonical_form(cycle_graph(10), max_vertices=10)
+    assert canonical_form(cycle_graph(9)) == canonical_form(cycle_graph(9), max_vertices=9)
+
+
+def nbr_of_mask(n: int, mask: int) -> list[int]:
+    nbits = n * (n - 1) // 2
+    nbr = [0] * n
+    for c, (i, j) in enumerate(_pair_positions(n)):
+        if mask >> (nbits - 1 - c) & 1:
+            nbr[i] |= 1 << j
+            nbr[j] |= 1 << i
+    return nbr
+
+
+def test_minimality_test_matches_slicing_oracle():
+    """Every mask, connected or not, for n <= 6 and a seeded sample at n = 7."""
+    cases = [(n, mask) for n in range(1, 7) for mask in range(1 << (n * (n - 1) // 2))]
+    rng = random.Random(7)
+    cases += [(7, rng.getrandbits(21)) for _ in range(2000)]
+    verdicts = set()
+    for n, mask in cases:
+        nbr = nbr_of_mask(n, mask)
+        verdict = not _search(n, nbr, _columns(n, mask), stop=True)
+        assert verdict == oracles.is_orbit_minimal(n, mask, nbr), (n, mask)
+        verdicts.add((n, verdict))
+    assert {(n, v) for n in range(3, 8) for v in (False, True)} <= verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +114,7 @@ def test_enumeration_matches_networkx_atlas():
             g = Graph.from_edges([f"a{v}" for v in range(h.number_of_nodes())], list(h.edges()))
             atlas[g.n].add(canonical_form(g))
     for n, forms in atlas.items():
-        emitted = [mask_to_canonical_bytes(n, mask_from_graph(g)) for g in enumerate_connected_graphs(n)]
+        emitted = [_encode(n, mask_from_graph(g)) for g in enumerate_connected_graphs(n)]
         assert len(emitted) == len(forms) == KNOWN_COUNTS[n]
         assert set(emitted) == forms
 
@@ -105,7 +130,7 @@ def test_enumeration_representatives_are_canonical():
     two isomorphism routes (orbit marking vs branch-and-bound) agree."""
     for n in range(2, 7):
         for g in enumerate_connected_graphs(n):
-            assert canonical_form(g) == mask_to_canonical_bytes(n, mask_from_graph(g))
+            assert canonical_form(g) == _encode(n, mask_from_graph(g))
 
 
 def test_enumeration_all_connected_and_deterministic():

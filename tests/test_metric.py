@@ -27,7 +27,7 @@ from metricgraph import (
     parse_rational,
     path_graph,
 )
-from metricgraph.metric import find_metric_violation, violation_reproduces
+from metricgraph.metric import find_metric_violation
 
 import oracles
 import randgen
@@ -221,7 +221,7 @@ def test_validation_witness_reproduces(seed):
     table = tuple(tuple(row) for row in rows)
     violation = find_metric_violation(table)
     assert violation is not None
-    assert violation_reproduces(table, violation)
+    assert oracles.violation_reproduces(table, violation)
 
 
 def _assert_same_first_violation(table) -> MetricViolation | None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import multiprocessing
 import random
 from fractions import Fraction
 
@@ -33,7 +34,6 @@ from metricgraph import (
     replay_violation,
     search,
 )
-from metricgraph import quadruples
 from metricgraph.quadruples import _c44_status, assemble_report, ConjectureViolation, four_subset_status
 
 import oracles
@@ -358,7 +358,7 @@ def test_search_jobs_one_runs_in_process(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("jobs=1 must not start a process pool")
 
-    monkeypatch.setattr(quadruples.multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     assert search("C44", 5, jobs=1).graphs_checked == 27
 
 

@@ -1,4 +1,5 @@
-"""What a fresh process loads: no command loads numpy, `search` included.
+"""What a fresh process loads: no command loads numpy, `search` included,
+and the CLI import leaves multiprocessing to a pooled search.
 
 Each case runs in its own interpreter, because the test process itself may
 have imported numpy through another test dependency.
@@ -34,6 +35,13 @@ def run_python(code: str, *argv: str) -> subprocess.CompletedProcess:
 
 def test_importing_the_cli_does_not_load_numpy():
     proc = run_python("import sys, metricgraph.cli; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_importing_the_cli_does_not_load_multiprocessing():
+    """Only a pooled search (jobs > 1) imports multiprocessing."""
+    proc = run_python("import sys, metricgraph.cli; print('multiprocessing' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
 
