@@ -27,7 +27,7 @@ from .errors import (
     WrongArity,
 )
 from .graph import dump_graph, geodesic_metric, graph_doc, parse_graph
-from .metric import MetricSpace, dump_metric, is_integer_metric, kay_chartrand_check, parse_metric, rational_to_json
+from .metric import MetricSpace, dump_metric, is_integer_metric, json_text, kay_chartrand_check, parse_metric, rational_to_json
 from .quadruples import line_embed, mb_check, plq_classify, quad_inequality, search
 from .realization import RealizationResult, ceil_embed, embed, realize
 
@@ -42,7 +42,7 @@ def _read_input(path: str) -> str:
 
 
 def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ": ")) + "\n")
+    sys.stdout.write(json_text(doc))
 
 
 def _note(message: str) -> None:
@@ -143,9 +143,8 @@ def _write_artifacts(args: argparse.Namespace, result: RealizationResult) -> dic
     else:
         out_doc["graph"] = graph_doc(result.graph)
     if args.map:
-        Path(args.map).write_text(json.dumps(
-            {"assignment": assignment, "aux_count": result.aux_count},
-            sort_keys=True, separators=(",", ": ")) + "\n")
+        Path(args.map).write_text(
+            json_text({"assignment": assignment, "aux_count": result.aux_count}))
     else:
         out_doc["assignment"] = assignment
     return out_doc
@@ -215,11 +214,10 @@ def cmd_distances(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     m = _load_metric_or_graph(args.input, args.format)
-    labels = args.labels
+    if args.labels:
+        m = m.restrict(args.labels)
 
     if args.mb:
-        if labels:
-            m = m.restrict(labels)
         witness = mb_check(m)
         _emit({"command": "check", "check": "mb", "pass": witness is None,
                "witness": None if witness is None else list(witness)})
@@ -230,8 +228,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         return DOMAIN_NEGATIVE
 
     if args.line:
-        if labels:
-            m = m.restrict(labels)
         coords = line_embed(m)
         if coords is None:
             _emit({"command": "check", "check": "line", "embeddable": False,
@@ -244,8 +240,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         return 0
 
     if args.plq:
-        sub = m.restrict(labels) if labels else m
-        plq = plq_classify(sub)
+        plq = plq_classify(m)
         if plq is None:
             _emit({"command": "check", "check": "plq", "plq": False})
             _note("check: not a pseudo-linear quadruple")
@@ -257,22 +252,16 @@ def cmd_check(args: argparse.Namespace) -> int:
               + (" (equilateral)" if plq.equilateral else ""))
         return 0
 
-    if args.quad_ineq:
-        if not labels:
-            if m.n != 4:
-                raise WrongArity("--quad-ineq needs an ordering of 4 labels")
-            labels = list(m.labels)
-        q = quad_inequality(m, labels)
-        _emit({"command": "check", "check": "quad-ineq",
-               "ordering": labels,
-               "lhs": rational_to_json(q.lhs),
-               "bound": rational_to_json(q.bound),
-               "slack": rational_to_json(q.slack),
-               "equality": q.slack == 0})
-        _note(f"check: lhs={q.lhs} <= bound={q.bound} (slack {q.slack})")
-        return 0
-
-    raise ParseError("choose one of --mb, --line, --plq, --quad-ineq")
+    # --quad-ineq: the argparse group requires one of the four modes.
+    q = quad_inequality(m, m.labels)
+    _emit({"command": "check", "check": "quad-ineq",
+           "ordering": list(m.labels),
+           "lhs": rational_to_json(q.lhs),
+           "bound": rational_to_json(q.bound),
+           "slack": rational_to_json(q.slack),
+           "equality": q.slack == 0})
+    _note(f"check: lhs={q.lhs} <= bound={q.bound} (slack {q.slack})")
+    return 0
 
 
 def cmd_search(args: argparse.Namespace) -> int:
@@ -287,16 +276,6 @@ def cmd_search(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -345,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="sweep enumerated connected graphs")
     p.add_argument("--conjecture", required=True, help="4.2 or 4.4")
     p.add_argument("--max-n", type=int, default=6, dest="max_n")
-    p.add_argument("--max-violations", type=_positive_int, default=100,
+    p.add_argument("--max-violations", type=int, default=100,
                    dest="max_violations")
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_search)
 
     return parser

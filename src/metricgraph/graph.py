@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import Disconnected, EmptySubset, ParseError, UnknownLabel
-from .metric import MetricSpace
+from .metric import MetricSpace, json_text
 
 DistanceMatrix = tuple[tuple[int | None, ...], ...]
 
@@ -29,11 +29,11 @@ class Graph:
         n = len(self.vertex_labels)
         if n == 0:
             raise ParseError("a graph needs at least one vertex")
-        if len(set(self.vertex_labels)) != n:
-            raise ParseError(f"duplicate vertex labels in {self.vertex_labels}")
         for lab in self.vertex_labels:
             if not isinstance(lab, str) or not lab:
                 raise ParseError(f"vertex labels must be nonempty strings, got {lab!r}")
+        if len(set(self.vertex_labels)) != n:
+            raise ParseError(f"duplicate vertex labels in {self.vertex_labels}")
         if len(self.adjacency) != n:
             raise ParseError(f"{n} vertices but {len(self.adjacency)} adjacency rows")
         for i, nbrs in enumerate(self.adjacency):
@@ -62,7 +62,7 @@ class Graph:
             if len(e) != 2:
                 raise ParseError(f"edge {e!r} must be a pair")
             i, j = e
-            if not (isinstance(i, int) and isinstance(j, int)):
+            if type(i) is not int or type(j) is not int:
                 raise ParseError(f"edge {e!r} must contain integer indices")
             if not (0 <= i < n and 0 <= j < n):
                 raise ParseError(f"edge {e!r} out of range for {n} vertices")
@@ -151,12 +151,14 @@ def is_connected(g: Graph) -> bool:
 
 
 def geodesic_metric(g: Graph) -> MetricSpace:
-    """The geodesic distance as a validated MetricSpace (connected graphs);
-    the BFS edge counts are stored as they are, as `int`s."""
-    dist = geodesic_distances(g)
-    if any(v is None for row in dist for v in row):
+    """The geodesic distance as a validated MetricSpace of `int` BFS edge
+    counts.  Raises `Disconnected` when vertex 0's BFS row leaves a vertex
+    unreached, before any other BFS runs."""
+    first = _bfs_from(g, 0)
+    if None in first:
         raise Disconnected("geodesic metric requires a connected graph")
-    return MetricSpace(g.vertex_labels, dist)  # type: ignore[arg-type]
+    rows = (tuple(first), *(tuple(_bfs_from(g, s)) for s in range(1, g.n)))
+    return MetricSpace(g.vertex_labels, rows)  # type: ignore[arg-type]
 
 
 def shortest_path(g: Graph, x: str, z: str) -> list[str]:
@@ -298,7 +300,7 @@ def graph_doc(g: Graph) -> dict:
 def dump_graph(g: Graph, format: str = "json") -> str:
     """Serialize a graph; edges are emitted with i < j in sorted order."""
     if format == "json":
-        return json.dumps(graph_doc(g), sort_keys=True, separators=(",", ": ")) + "\n"
+        return json_text(graph_doc(g))
     if format == "text":
         lines = [f"{g.n} {g.edge_count()}"]
         for i, j in g.edges():

@@ -164,11 +164,11 @@ class MetricSpace:
     def __post_init__(self) -> None:
         if len(self.labels) == 0:
             raise MetricViolation("shape", (), "a metric space needs at least one point")
-        if len(set(self.labels)) != len(self.labels):
-            raise ParseError(f"duplicate point labels in {self.labels}")
         for lab in self.labels:
             if not isinstance(lab, str) or not lab:
                 raise ParseError(f"point labels must be nonempty strings, got {lab!r}")
+        if len(set(self.labels)) != len(self.labels):
+            raise ParseError(f"duplicate point labels in {self.labels}")
         if len(self.dist) != len(self.labels):
             raise MetricViolation(
                 "shape", (),
@@ -364,14 +364,20 @@ def parse_metric(text: str, format: str = "json") -> MetricSpace:
     raise ParseError(f"unknown metric format {format!r}")
 
 
+def json_text(doc: dict) -> str:
+    """The one JSON encoder behind every document the package writes: sorted
+    keys, `","` between items, `": "` after keys, one trailing newline.  The
+    golden report sha256s pin this byte format."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ": ")) + "\n"
+
+
 def dump_metric(m: MetricSpace, format: str = "json") -> str:
     """Serialize a metric space; output is deterministic byte-for-byte."""
     if format == "json":
-        doc = {
+        return json_text({
             "points": list(m.labels),
             "distances": [[rational_to_json(v) for v in row] for row in m.dist],
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ": ")) + "\n"
+        })
     if format == "matrix":
         lines = [str(m.n)]
         for row in m.dist:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -33,7 +32,7 @@ from .errors import (
     WrongArity,
 )
 from .graph import Graph, classify_shape, geodesic_metric, graph_doc
-from .metric import MetricSpace, Rational
+from .metric import MetricSpace, Rational, json_text
 
 
 # ---------------------------------------------------------------------------
@@ -65,28 +64,20 @@ def mb_check(m: MetricSpace) -> tuple[str, str, str] | None:
 def line_embed(m: MetricSpace) -> dict[str, Rational] | None:
     """Isometric embedding into the rational line, or None.
 
-    Gauge: the first point sits at 0 and the second at its (positive)
-    distance from the first.  Any remaining point's coordinate is one of
-    +-d(p0, z); the distance to the second point picks the sign, and a full
-    pairwise verification confirms the placement.  If an embedding exists
-    at all, the gauge-fixed one is found, so None is a definite negative.
+    Gauge: a point z sits at +d(p0, z), or at -d(p0, z) when + misses its
+    distance to the second point p1, so p0 sits at 0 and p1 at d(p0, p1).
+    One pairwise check then confirms every placement.  If an embedding
+    exists at all, the gauge-fixed one is found, so None is a definite
+    negative.
     """
-    coords: list[Rational] = [0] * m.n
-    for k in range(1, m.n):
-        if k == 1:
-            coords[1] = m.dist[0][1]
-            continue
-        placed = False
-        for cand in (m.dist[0][k], -m.dist[0][k]):
-            if abs(cand - coords[1]) == m.dist[1][k]:
-                coords[k] = cand
-                placed = True
-                break
-        if not placed:
-            return None
+    d = m.dist
+    coords: list[Rational] = list(d[0])
+    for k in range(2, m.n):
+        if abs(coords[k] - coords[1]) != d[1][k]:
+            coords[k] = -coords[k]
     for i in range(m.n):
         for j in range(i + 1, m.n):
-            if abs(coords[i] - coords[j]) != m.dist[i][j]:
+            if abs(coords[i] - coords[j]) != d[i][j]:
                 return None
     return {lab: coords[i] for i, lab in enumerate(m.labels)}
 
@@ -243,7 +234,8 @@ def _c44_status(
 def four_subset_status(metric: MetricSpace, subset: Iterable[str]) -> tuple[bool, bool]:
     """(induced subgraph is a 4-cycle, distances form an equilateral
     pseudo-linear quadruple) for one 4-vertex subset of a graph, given the
-    graph's geodesic metric."""
+    graph's geodesic metric.  The package itself reaches `_c44_status`
+    only through `check_graph`; perfbench's span table names this one."""
     quad = tuple(metric.index(lab) for lab in _require_four(subset))
     return _c44_status(metric.dist, quad)  # type: ignore[arg-type]
 
@@ -264,19 +256,6 @@ def check_conjecture_44(g: Graph) -> list[ConjectureViolation]:
             subset = tuple(labels[i] for i in quad)
             out.append(ConjectureViolation("C44", g, subset, direction))
     return out
-
-
-def replay_violation(v: ConjectureViolation) -> bool:
-    """Re-run a recorded violation's witness through the relevant checker."""
-    if v.conjecture_id == "C42":
-        again = check_conjecture_42(v.graph)
-        return again is not None and again.direction == v.direction and again.witness == v.witness
-    if v.conjecture_id == "C44":
-        holds_i, holds_ii = four_subset_status(geodesic_metric(v.graph), v.witness)
-        if holds_i == holds_ii:
-            return False
-        return v.direction == ("i_implies_ii" if holds_i else "ii_implies_i")
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +288,7 @@ class ConjectureReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_doc(), sort_keys=True, separators=(",", ": ")) + "\n"
+        return json_text(self.to_doc())
 
 
 def check_graph(conjecture_id: str, g: Graph) -> list[ConjectureViolation]:
@@ -320,6 +299,13 @@ def check_graph(conjecture_id: str, g: Graph) -> list[ConjectureViolation]:
     if conjecture_id == "C44":
         return check_conjecture_44(g)
     raise ParseError(f"unknown conjecture id {conjecture_id!r}; use C42 or C44")
+
+
+def replay_violation(v: ConjectureViolation) -> bool:
+    """Whether `check_graph`, run again on the violation's graph, reports
+    this same violation (same witness, in order, and direction); False for
+    an unknown conjecture id or a witness label the graph does not have."""
+    return v.conjecture_id in _CONJECTURES and v in check_graph(v.conjecture_id, v.graph)
 
 
 def assemble_report(

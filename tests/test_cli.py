@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+import metricgraph
 from metricgraph import Graph, cycle_graph, dump_graph, dump_metric, geodesic_metric, parse_graph, path_graph
 from metricgraph.cli import main
 
@@ -285,6 +288,9 @@ def test_check_quad_ineq(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["lhs"] == 2 and doc["bound"] == 2 and doc["slack"] == 0
     assert doc["equality"] is True
+    path = write(tmp_path, "p3m.json", dump_metric(geodesic_metric(path_graph(3))))
+    code, out, _ = run(capsys, "check", "--quad-ineq", path)
+    assert code == 2 and json.loads(out)["error"] == "WrongArity"
 
 
 def test_check_quad_ineq_on_graph_with_int_distances(tmp_path, capsys):
@@ -353,6 +359,34 @@ def test_check_bad_labels(tmp_path, capsys):
     assert code == 2
 
 
+def test_unhashable_vertex_label_is_a_parse_error(tmp_path, capsys):
+    path = write(tmp_path, "g.json", '{"vertices": [["a"], "b"], "edges": [[0, 1]]}')
+    for argv in (("distances", path), ("check", "--mb", path)):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out)["error"] == "ParseError"
+
+
+def test_json_dumps_is_called_only_by_the_encoder():
+    """Every JSON document the package writes goes through
+    `metric.json_text`, so the byte format behind the golden report
+    sha256s is written down in one place."""
+    callers = []
+
+    def visit(node: ast.AST, module: str, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "dumps"
+                or isinstance(node, ast.ImportFrom) and node.module == "json"):
+            callers.append((module, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path in sorted(Path(metricgraph.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, "<module>")
+    assert callers == [("metric.py", "json_text")]
+
+
 # ---------------------------------------------------------------------------
 # search
 # ---------------------------------------------------------------------------
@@ -384,10 +418,9 @@ def test_search_bad_conjecture(capsys):
     ("--jobs", "0"), ("--jobs", "-2"), ("--max-violations", "-1"), ("--max-violations", "0"),
 ])
 def test_search_rejects_nonpositive_counts(capsys, flag, value):
-    with pytest.raises(SystemExit) as exc:
-        main(["search", "--conjecture", "4.4", "--max-n", "4", flag, value])
-    assert exc.value.code == 2
-    assert "must be at least 1" in capsys.readouterr().err
+    code, out, _ = run(capsys, "search", "--conjecture", "4.4", "--max-n", "4", flag, value)
+    assert code == 2
+    assert json.loads(out)["error"] == "TooSmall"
 
 
 def test_search_max_n_guard(capsys):

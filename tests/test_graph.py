@@ -51,6 +51,10 @@ def test_from_edges_validation():
         Graph.from_edges(["a", "a"], [(0, 1)])
     with pytest.raises(ParseError):
         Graph.from_edges([], [])
+    with pytest.raises(ParseError, match="nonempty strings"):
+        Graph.from_edges([["a"], "b"], [(0, 1)])
+    with pytest.raises(ParseError, match="integer indices"):
+        Graph.from_edges(["a", "b"], [(True, False)])
 
 
 def test_direct_construction_checks_symmetry():
@@ -112,6 +116,22 @@ def test_geodesic_metric_is_a_metric():
         assert find_metric_violation(m.dist) is None
     with pytest.raises(Disconnected):
         geodesic_metric(two_isolated())
+
+
+def test_geodesic_metric_stops_after_the_first_bfs_when_disconnected(monkeypatch):
+    from metricgraph import graph as graph_module
+
+    calls = []
+    bfs = graph_module._bfs_from
+
+    def counted(g, src):
+        calls.append(src)
+        return bfs(g, src)
+
+    monkeypatch.setattr(graph_module, "_bfs_from", counted)
+    with pytest.raises(Disconnected):
+        geodesic_metric(Graph.from_edges([f"v{i}" for i in range(50)], []))
+    assert calls == [0]
 
 
 def test_shortest_path_deterministic_and_between():
@@ -208,3 +228,5 @@ def test_parse_graph_errors():
         parse_graph("2 1\n0 1\n0 1", "text")
     with pytest.raises(ParseError):
         parse_graph("nope", "text")
+    with pytest.raises(ParseError):
+        parse_graph('{"vertices": ["a", "b"], "edges": [[true, false]]}')

@@ -123,6 +123,11 @@ def test_constructor_rejects_non_exact_entries(entry):
         MetricSpace(("a", "b"), ((0, entry), (entry, 0)))
     assert MetricSpace.from_rows(["a", "b"], [[0, "1/2"], ["1/2", 0]]).d("a", "b") == Fraction(1, 2)
 
+
+def test_constructor_rejects_unhashable_labels():
+    with pytest.raises(ParseError, match="nonempty strings"):
+        MetricSpace.from_rows([["a"]], [[0]])
+
 def test_parse_triangle_witness():
     with pytest.raises(MetricViolation) as exc:
         MetricSpace.from_rows(["a", "b", "c"], [[0, 1, 9], [1, 0, 1], [9, 1, 0]])

@@ -6,6 +6,7 @@ import itertools
 import json
 import multiprocessing
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -307,8 +308,16 @@ def test_violations_replay():
     assert violations
     for v in violations:
         assert replay_violation(v)
-    fake = ConjectureViolation("C44", cycle_graph(8), ("v0", "v1", "v2", "v3"), "ii_implies_i")
-    assert not replay_violation(fake)
+    first = violations[0]
+    not_replayed = [
+        *(replace(v, direction="i_implies_ii") for v in violations),
+        replace(first, witness=("v0", "v1", "v2", "v3")),
+        replace(first, witness=("v0", "v2", "v4", "zz")),
+        replace(first, conjecture_id="C99"),
+        ConjectureViolation("C42", path_graph(4), (), "mb_implies_shape"),
+    ]
+    for fake in not_replayed:
+        assert not replay_violation(fake), fake
 
 
 # ---------------------------------------------------------------------------
