@@ -69,7 +69,7 @@ def _load_metric_or_graph(path: str, fmt: str) -> MetricSpace:
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an int literal beyond 4300 digits
             raise ParseError(f"invalid JSON: {exc}") from exc
         if isinstance(doc, dict) and "distances" in doc:
             return parse_metric(text, "json")

@@ -63,8 +63,9 @@ class EmptyGraph(MetricGraphError):
 
 
 class TooLarge(MetricGraphError):
-    """Vertex count exceeds a configured cap: the enumeration and
-    canonicalization cap, or the host-graph size cap of an embedding."""
+    """A size exceeds a configured cap: the enumeration and
+    canonicalization vertex cap, the host-graph vertex cap of an embedding
+    or a text graph header, or the digit cap on exact distance values."""
 
 
 class TooSmall(MetricGraphError):

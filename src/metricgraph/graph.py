@@ -1,21 +1,27 @@
 """Simple undirected graphs and BFS geodesic distances.
 
 Graphs are immutable: labeled vertices plus sorted per-vertex neighbor
-index lists.  Disconnected graphs are representable (the enumerator needs
-them mid-stream); every geodesic-metric consumer checks connectivity and
+index lists, checked once, by the constructor.  A `Graph` may be
+disconnected; every geodesic-metric consumer checks connectivity and
 raises `Disconnected` otherwise.  Unreachable distance entries are None.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import Disconnected, EmptySubset, ParseError, UnknownLabel
-from .metric import MetricSpace, json_text
+from .errors import Disconnected, EmptySubset, ParseError, TooLarge, UnknownLabel
+from .metric import MetricSpace, json_text, label_index
 
 DistanceMatrix = tuple[tuple[int | None, ...], ...]
+
+# Most vertices a text graph header may declare or an embedding's host
+# graph may have (one vertex per point plus d - 1 per irreducible pair of
+# distance d).
+MAX_HOST_VERTICES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -29,26 +35,26 @@ class Graph:
         n = len(self.vertex_labels)
         if n == 0:
             raise ParseError("a graph needs at least one vertex")
-        for lab in self.vertex_labels:
-            if not isinstance(lab, str) or not lab:
-                raise ParseError(f"vertex labels must be nonempty strings, got {lab!r}")
-        if len(set(self.vertex_labels)) != n:
-            raise ParseError(f"duplicate vertex labels in {self.vertex_labels}")
-        if len(self.adjacency) != n:
-            raise ParseError(f"{n} vertices but {len(self.adjacency)} adjacency rows")
-        for i, nbrs in enumerate(self.adjacency):
-            if list(nbrs) != sorted(set(nbrs)):
-                raise ParseError(f"neighbor list of vertex {i} must be sorted and duplicate-free")
-            for j in nbrs:
-                if not 0 <= j < n:
-                    raise ParseError(f"neighbor index {j} of vertex {i} out of range")
+        index = label_index(self.vertex_labels, "vertex")
+        rows = self.adjacency
+        if len(rows) != n:
+            raise ParseError(f"{n} vertices but {len(rows)} adjacency rows")
+        for i, row in enumerate(rows):
+            prev = -1
+            for j in row:
+                if type(j) is not int or not 0 <= j < n:
+                    raise ParseError(f"neighbor {j!r} of vertex {i} is not an index below {n}")
                 if j == i:
                     raise ParseError(f"self-loop at vertex {i}")
-                if i not in self.adjacency[j]:
+                if j <= prev:
+                    raise ParseError(f"duplicate edge ({i},{j})" if j == prev else
+                                     f"neighbor list of vertex {i} is not sorted")
+                prev = j
+        for i, row in enumerate(rows):  # row j is sorted: i is in it iff its insertion points differ
+            for j in row:
+                if bisect_left(rows[j], i) == bisect_right(rows[j], i):
                     raise ParseError(f"edge ({i},{j}) is not symmetric")
-        object.__setattr__(
-            self, "_index", {lab: i for i, lab in enumerate(self.vertex_labels)}
-        )
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def from_edges(
@@ -56,22 +62,17 @@ class Graph:
         vertex_labels: list[str] | tuple[str, ...],
         edges: list[tuple[int, int]] | tuple,
     ) -> "Graph":
+        """One edge per (i, j) entry; the constructor checks the rest."""
         n = len(vertex_labels)
-        nbrs: list[set[int]] = [set() for _ in range(n)]
+        nbrs: list[list[int]] = [[] for _ in range(n)]
         for e in edges:
-            if len(e) != 2:
+            if not isinstance(e, (list, tuple)) or len(e) != 2:
                 raise ParseError(f"edge {e!r} must be a pair")
             i, j = e
-            if type(i) is not int or type(j) is not int:
-                raise ParseError(f"edge {e!r} must contain integer indices")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ParseError(f"edge {e!r} out of range for {n} vertices")
-            if i == j:
-                raise ParseError(f"self-loop {e!r} not allowed")
-            if j in nbrs[i]:
-                raise ParseError(f"duplicate edge {e!r}")
-            nbrs[i].add(j)
-            nbrs[j].add(i)
+            if type(i) is not int or type(j) is not int or not (0 <= i < n and 0 <= j < n):
+                raise ParseError(f"edge {e!r} must hold integer indices below {n}")
+            nbrs[i].append(j)
+            nbrs[j].append(i)
         return cls(
             tuple(vertex_labels),
             tuple(tuple(sorted(s)) for s in nbrs),
@@ -225,12 +226,11 @@ def classify_shape(g: Graph) -> ShapeClass:
     n = g.n
     if n == 1:
         return ShapeClass("single_vertex")
-    if not is_connected(g):
-        return ShapeClass("other")
+    # Degrees first: only a path's or a cycle's pays for the BFS.
     degrees = sorted(g.degree(i) for i in range(n))
-    if degrees == [1, 1] + [2] * (n - 2):
+    if degrees == [1, 1] + [2] * (n - 2) and is_connected(g):
         return ShapeClass("path", n - 1)
-    if n >= 3 and degrees == [2] * n:
+    if n >= 3 and degrees == [2] * n and is_connected(g):
         return ShapeClass("cycle", n)
     return ShapeClass("other")
 
@@ -241,11 +241,12 @@ def classify_shape(g: Graph) -> ShapeClass:
 
 def parse_graph(text: str, format: str = "json") -> Graph:
     """Parse a graph from JSON (`{"vertices": [...], "edges": [[i,j], ...]}`)
-    or text (`n m` header then m lines `i j`); indices are 0-based."""
+    or text (`n m` header then m lines `i j`); indices are 0-based.  A text
+    header above `MAX_HOST_VERTICES` raises `TooLarge`."""
     if format == "json":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an int literal beyond 4300 digits
             raise ParseError(f"invalid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ParseError("graph JSON must be an object")
@@ -255,12 +256,7 @@ def parse_graph(text: str, format: str = "json") -> Graph:
         edges = doc["edges"]
         if not isinstance(vertices, list) or not isinstance(edges, list):
             raise ParseError('"vertices" and "edges" must be arrays')
-        pairs = []
-        for e in edges:
-            if not isinstance(e, list) or len(e) != 2:
-                raise ParseError(f"edge {e!r} must be an index pair")
-            pairs.append((e[0], e[1]))
-        return Graph.from_edges(vertices, pairs)
+        return Graph.from_edges(vertices, edges)
 
     if format == "text":
         lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -273,17 +269,14 @@ def parse_graph(text: str, format: str = "json") -> Graph:
             n, m = int(header[0]), int(header[1])
         except ValueError as exc:
             raise ParseError(f"bad header {lines[0]!r}") from exc
+        if n > MAX_HOST_VERTICES:
+            raise TooLarge(f"header declares {n} vertices, more than {MAX_HOST_VERTICES}")
         if len(lines) - 1 != m:
             raise ParseError(f"expected {m} edge lines, got {len(lines) - 1}")
-        pairs = []
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 2:
-                raise ParseError(f"bad edge line {ln!r}")
-            try:
-                pairs.append((int(parts[0]), int(parts[1])))
-            except ValueError as exc:
-                raise ParseError(f"bad edge line {ln!r}") from exc
+        try:
+            pairs = [tuple(map(int, ln.split())) for ln in lines[1:]]
+        except ValueError as exc:
+            raise ParseError(f"bad edge line: {exc}") from exc
         return Graph.from_edges([f"v{i}" for i in range(n)], pairs)
 
     raise ParseError(f"unknown graph format {format!r}")

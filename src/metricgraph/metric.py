@@ -15,6 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator
 
 from .errors import (
@@ -22,10 +23,18 @@ from .errors import (
     MetricViolation,
     NotIntegerMetric,
     ParseError,
+    TooLarge,
     UnknownLabel,
 )
 
 RESERVED_PREFIX = "__"
+
+# Digit cap on exact values: a parsed decimal exponent, the lcm L of a
+# table's denominators and every entry times L stay within it, so every
+# value printed, quadruple products included, stays under Python's
+# 4300-digit int-to-str limit.
+MAX_DIGITS = 2000
+_DIGIT_BOUND = 10 ** MAX_DIGITS
 
 # An exact distance: `int` when integral, `Fraction` otherwise.
 Rational = int | Fraction
@@ -42,7 +51,8 @@ def parse_rational(value: int | str | Fraction) -> Rational:
     fractions ("23/10"), and scientific notation ("1e-3"); all are parsed
     exactly.  Integral values come back as `int`, others as `Fraction`.
     Floats are rejected: binary floats cannot represent finite decimals
-    exactly.
+    exactly.  A decimal exponent beyond +-`MAX_DIGITS` raises `TooLarge`
+    before the value is built.
     """
     if isinstance(value, bool):
         raise ParseError(f"boolean is not a distance value: {value!r}")
@@ -54,6 +64,9 @@ def parse_rational(value: int | str | Fraction) -> Rational:
         )
     if isinstance(value, (str, Fraction)):
         try:
+            if isinstance(value, str) and ("e" in value or "E" in value):
+                if abs(int(value.lower().partition("e")[2])) > MAX_DIGITS:
+                    raise TooLarge(f"distance {value!r} has a decimal exponent beyond {MAX_DIGITS}")
             q = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational number: {value!r}") from exc
@@ -97,6 +110,9 @@ def find_metric_violation(
     Only a failing pair is rescanned k by k on the original values, so the
     first violation, its witness and its message are those of the plain
     triple loop.
+
+    Raises `TooLarge` when L or an entry of t has more than `MAX_DIGITS`
+    digits; L is built one denominator at a time and stops there.
     """
     n = len(dist)
     for i, row in enumerate(dist):
@@ -104,15 +120,21 @@ def find_metric_violation(
             return MetricViolation(
                 "shape", (i,), f"row {i} has {len(row)} entries, expected {n}"
             )
+    scale = 1
+    for den in {v.denominator for row in dist for v in row}:
+        scale = math.lcm(scale, den)
+        if scale >= _DIGIT_BOUND:
+            raise TooLarge(f"the denominators' lcm has more than {MAX_DIGITS} digits")
+    t = dist if scale == 1 else [
+        [v.numerator * (scale // v.denominator) for v in row] for row in dist
+    ]
+    if max(map(abs, chain.from_iterable(t)), default=0) >= _DIGIT_BOUND:
+        raise TooLarge(f"a distance times the denominators' lcm has more than {MAX_DIGITS} digits")
     for i in range(n):
         if dist[i][i] != 0:
             return MetricViolation(
                 "diagonal", (i, i), f"d[{i}][{i}] = {dist[i][i]} != 0"
             )
-    scale = math.lcm(*{v.denominator for row in dist for v in row})
-    t = dist if scale == 1 else [
-        [v.numerator * (scale // v.denominator) for v in row] for row in dist
-    ]
     for i in range(n):
         for j in range(i + 1, n):
             if t[i][j] != t[j][i]:
@@ -146,6 +168,19 @@ def find_metric_violation(
 # MetricSpace
 # ---------------------------------------------------------------------------
 
+def label_index(labels: tuple[str, ...], kind: str) -> dict[str, int]:
+    """Label -> position map of a `kind` ("point" or "vertex") label list: the
+    one check that each label is a nonempty `str`, before any is hashed, and distinct."""
+    for lab in labels:
+        if not isinstance(lab, str) or not lab:
+            raise ParseError(f"{kind} labels must be nonempty strings, got {lab!r}")
+    index: dict[str, int] = {}
+    for i, lab in enumerate(labels):
+        if index.setdefault(lab, i) != i:
+            raise ParseError(f"duplicate {kind} label {lab!r}")
+    return index
+
+
 @dataclass(frozen=True)
 class MetricSpace:
     """A finite labeled point set with an exact, validated distance table.
@@ -155,7 +190,8 @@ class MetricSpace:
     integral distance as an `int` and every other one as a `Fraction`, and
     never a float.  The constructor accepts only `int` and `Fraction`
     entries (`ParseError` otherwise), validates every metric axiom and raises
-    `MetricViolation` with a concrete witness on failure.
+    `MetricViolation` with a concrete witness on failure, or `TooLarge` past
+    the `MAX_DIGITS` cap.
     """
 
     labels: tuple[str, ...]
@@ -164,11 +200,7 @@ class MetricSpace:
     def __post_init__(self) -> None:
         if len(self.labels) == 0:
             raise MetricViolation("shape", (), "a metric space needs at least one point")
-        for lab in self.labels:
-            if not isinstance(lab, str) or not lab:
-                raise ParseError(f"point labels must be nonempty strings, got {lab!r}")
-        if len(set(self.labels)) != len(self.labels):
-            raise ParseError(f"duplicate point labels in {self.labels}")
+        index = label_index(self.labels, "point")
         if len(self.dist) != len(self.labels):
             raise MetricViolation(
                 "shape", (),
@@ -184,9 +216,7 @@ class MetricSpace:
         violation = find_metric_violation(self.dist)
         if violation is not None:
             raise violation
-        object.__setattr__(
-            self, "_index", {lab: i for i, lab in enumerate(self.labels)}
-        )
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def from_rows(
@@ -294,21 +324,6 @@ def ceiling_metric(m: MetricSpace) -> MetricSpace:
 # Parsing and serialization
 # ---------------------------------------------------------------------------
 
-def _check_user_labels(labels: list) -> tuple[str, ...]:
-    seen = set()
-    for lab in labels:
-        if not isinstance(lab, str) or not lab:
-            raise ParseError(f"point labels must be nonempty strings, got {lab!r}")
-        if lab.startswith(RESERVED_PREFIX):
-            raise ParseError(
-                f"label {lab!r} uses the reserved {RESERVED_PREFIX!r} prefix"
-            )
-        if lab in seen:
-            raise ParseError(f"duplicate point label {lab!r}")
-        seen.add(lab)
-    return tuple(labels)
-
-
 def parse_metric(text: str, format: str = "json") -> MetricSpace:
     """Parse a metric space from JSON or matrix text.
 
@@ -322,7 +337,7 @@ def parse_metric(text: str, format: str = "json") -> MetricSpace:
     """
     if format == "json":
         try:
-            doc = json.loads(text, parse_float=Fraction)
+            doc = json.loads(text, parse_float=parse_rational)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
         except ValueError as exc:
@@ -342,7 +357,10 @@ def parse_metric(text: str, format: str = "json") -> MetricSpace:
         for row in rows:
             if not isinstance(row, list) or len(row) != len(labels):
                 raise ParseError("distance table must be square")
-        return MetricSpace.from_rows(_check_user_labels(labels), rows)
+        for lab in labels:
+            if isinstance(lab, str) and lab.startswith(RESERVED_PREFIX):
+                raise ParseError(f"label {lab!r} uses the reserved {RESERVED_PREFIX!r} prefix")
+        return MetricSpace.from_rows(labels, rows)
 
     if format == "matrix":
         tokens = text.split()

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConditionFailed, Disconnected, InternalVerificationFailure, ParseError, TooLarge
-from .graph import Graph, _bfs_from
+from .graph import MAX_HOST_VERTICES, Graph, _bfs_from
 from .metric import (
     RESERVED_PREFIX,
     MetricSpace,
@@ -32,10 +32,6 @@ from .metric import (
 )
 
 AUX_PREFIX = "__aux"
-
-# Largest host graph `embed` will build: one vertex per point plus d - 1
-# per irreducible pair of distance d.
-MAX_HOST_VERTICES = 1_000_000
 
 
 @dataclass(frozen=True)

@@ -353,6 +353,27 @@ def test_no_float_in_any_output(tmp_path, capsys, kind):
         json.loads(out, parse_float=_reject_float)
 
 
+def test_values_past_the_digit_cap_are_typed_errors(tmp_path, capsys):
+    """Each input used to end in a 4300-digit int-to-str traceback."""
+    huge, wide = "1e5000", "1" + "0" * 3000
+    asym = write(tmp_path, "asym.json",
+                 '{"points": ["a", "b"], "distances": [[0, "1e5000"], ["2e5000", 0]]}')
+    line = write(tmp_path, "line.json",
+                 f'{{"points": ["a", "b"], "distances": [[0, "{huge}"], ["{huge}", 0]]}}')
+    quad = write(tmp_path, "quad.json", json.dumps(
+        {"points": list("abcd"), "distances": [[0 if i == j else wide for j in range(4)]
+                                               for i in range(4)]}))
+    for argv in (("validate", asym), ("check", "--line", line), ("check", "--quad-ineq", quad)):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out)["error"] == "TooLarge"
+    long_int = write(tmp_path, "g.json", '{"vertices": ["a", "b"], "edges": [[0, 1' + "0" * 5000 + ']]}')
+    for argv in (("distances", long_int), ("check", "--mb", long_int)):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out)["error"] == "ParseError"
+
+
 def test_check_bad_labels(tmp_path, capsys):
     path = write(tmp_path, "c4m.json", dump_metric(geodesic_metric(cycle_graph(4))))
     code, _, _ = run(capsys, "check", "--plq", path, "v0", "v1", "v2", "zz")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from metricgraph import (
     EmptySubset,
     Graph,
     ParseError,
+    TooLarge,
     UnknownLabel,
     between,
     classify_shape,
@@ -41,12 +43,15 @@ def two_isolated() -> Graph:
 # ---------------------------------------------------------------------------
 
 def test_from_edges_validation():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="self-loop"):
         Graph.from_edges(["a", "b"], [(0, 0)])
-    with pytest.raises(ParseError):
-        Graph.from_edges(["a", "b"], [(0, 1), (1, 0)])
+    for twice in ([(0, 1), (1, 0)], [(0, 1), (0, 1)]):
+        with pytest.raises(ParseError, match="duplicate edge"):
+            Graph.from_edges(["a", "b"], twice)
     with pytest.raises(ParseError):
         Graph.from_edges(["a", "b"], [(0, 2)])
+    with pytest.raises(ParseError):
+        Graph.from_edges(["a", "b"], [(-1, 1)])
     with pytest.raises(ParseError):
         Graph.from_edges(["a", "a"], [(0, 1)])
     with pytest.raises(ParseError):
@@ -55,13 +60,24 @@ def test_from_edges_validation():
         Graph.from_edges([["a"], "b"], [(0, 1)])
     with pytest.raises(ParseError, match="integer indices"):
         Graph.from_edges(["a", "b"], [(True, False)])
+    for entry in (5, [0], (0, 1, 2), "01", {0, 1}):
+        with pytest.raises(ParseError):
+            Graph.from_edges(["a", "b", "c"], [entry])
 
 
 def test_direct_construction_checks_symmetry():
-    with pytest.raises(ParseError):
-        Graph(("a", "b"), ((1,), ()))
-    with pytest.raises(ParseError):
-        Graph(("a", "b"), ((1, 1), (0,)))
+    for adjacency in (
+        ((1,), ()),                    # asymmetric
+        ((2, 1), (0,), (0,)),          # unsorted
+        ((1, 1), (0,)),                # duplicate neighbour
+        ((0, 1), (0,)),                # self-loop
+        ((True,), (0,)),               # bool neighbour
+        ((2,), (0,)),                  # out of range
+        ((-1,), (0,)),                 # negative
+        ((1,), ("x",)),                # non-int neighbour
+    ):
+        with pytest.raises(ParseError):
+            Graph(("a", "b", "c")[:len(adjacency)], adjacency)
 
 
 def test_edges_sorted():
@@ -183,6 +199,17 @@ def test_classify_shape():
     assert classify_shape(two_triangles).kind == "other"
 
 
+def test_classify_shape_runs_bfs_only_for_path_or_cycle_degrees(monkeypatch):
+    from metricgraph import graph as graph_module
+
+    calls = []
+    bfs = graph_module._bfs_from
+    monkeypatch.setattr(graph_module, "_bfs_from", lambda g, src: calls.append(src) or bfs(g, src))
+    star = Graph.from_edges(["c", "l1", "l2", "l3"], [(0, 1), (0, 2), (0, 3)])
+    assert classify_shape(star).kind == "other" and calls == []
+    assert classify_shape(cycle_graph(5)).is_cycle and calls == [0]
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -223,10 +250,34 @@ def test_parse_graph_errors():
     with pytest.raises(ParseError):
         parse_graph('{"vertices": ["a"]}')
     with pytest.raises(ParseError):
-        parse_graph('{"vertices": ["a", "b"], "edges": [[0]]}')
-    with pytest.raises(ParseError):
         parse_graph("2 1\n0 1\n0 1", "text")
     with pytest.raises(ParseError):
         parse_graph("nope", "text")
-    with pytest.raises(ParseError):
-        parse_graph('{"vertices": ["a", "b"], "edges": [[true, false]]}')
+    for edges in ("[[0]]", "[[true, false]]", "[[0, 0]]", "[[0, 1], [1, 0]]", "[[0, 1], [0, 1]]",
+                  "[[-1, 1]]", "[[0, 3]]", "[[0, 1.0]]", "[5]", "[[0, 1, 2]]",
+                  "[[0, 1" + "0" * 5000 + "]]"):
+        with pytest.raises(ParseError):
+            parse_graph(f'{{"vertices": ["a", "b", "c"], "edges": {edges}}}')
+    for text in ("3 1\n1 1\n", "3 2\n0 1\n1 0\n", "3 1\n0 3\n", "3 1\n-1 0\n"):
+        with pytest.raises(ParseError):
+            parse_graph(text, "text")
+
+
+def test_text_header_vertex_count_is_capped(monkeypatch):
+    from metricgraph import graph as graph_module
+
+    monkeypatch.setattr(graph_module, "MAX_HOST_VERTICES", 6)
+    assert parse_graph("6 0\n", "text").n == 6
+    with pytest.raises(TooLarge):
+        parse_graph("7 0\n", "text")
+
+
+def test_large_star_parses_quickly():
+    """The symmetry test is a binary search in the neighbour's sorted row,
+    so a 20 000-leaf star costs O(m log deg), not O(sum of deg^2)."""
+    leaves = 20_000
+    text = f"{leaves + 1} {leaves}\n" + "".join(f"0 {i}\n" for i in range(1, leaves + 1))
+    start = time.perf_counter()
+    g = parse_graph(text, "text")
+    assert time.perf_counter() - start < 1.0
+    assert g.degree(0) == leaves and g.edge_count() == leaves

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import ast
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import metricgraph
 from metricgraph import (
     MetricSpace,
     MetricViolation,
     NotIntegerMetric,
     ParseError,
+    TooLarge,
     UnknownLabel,
     between,
     ceiling_metric,
@@ -148,6 +153,70 @@ def test_parse_errors():
         parse_metric('{"points": ["a", "b"], "distances": [[0,1]]}')
     with pytest.raises(ParseError):
         parse_metric('{"distances": [[0]]}')
+
+
+def test_reserved_label_is_reported_before_the_table_is_checked():
+    with pytest.raises(ParseError, match="reserved"):
+        parse_metric('{"points": ["a", "__x"], "distances": [[0, 1], [2, 0]]}')
+    with pytest.raises(ParseError, match="duplicate point label 'a'"):
+        parse_metric('{"points": ["a", "b", "a"], "distances": [[0,1,1],[1,0,1],[1,1,0]]}')
+
+
+def test_only_the_label_routine_checks_labels():
+    """`metric.label_index` is the one place that rejects a non-string,
+    empty or repeated point or vertex label: no other function negates a
+    `str` type test or words a duplicate-label message."""
+    checkers = set()
+
+    def negated_str_test(node: ast.AST) -> bool:
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            call = node.operand
+            return (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "isinstance"
+                    and "str" in ast.unparse(call.args[1]))
+        return (isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.IsNot)
+                and ast.unparse(node.left).startswith("type(")
+                and ast.unparse(node.comparators[0]) == "str")
+
+    for path in sorted(Path(metricgraph.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            nodes = list(ast.walk(fn))
+            words = " ".join(n.value for n in nodes
+                             if isinstance(n, ast.Constant) and isinstance(n.value, str))
+            if any(map(negated_str_test, nodes)) or "duplicate" in words and "label" in words:
+                checkers.add((path.name, fn.name))
+    assert checkers == {("metric.py", "label_index")}
+
+
+def test_digit_cap_on_exact_values():
+    for text in ("1e2001", "1E-2001", "3e+2001"):
+        with pytest.raises(TooLarge, match="exponent"):
+            parse_rational(text)
+    assert parse_rational("1e-2000") == Fraction(1, 10 ** 2000)
+    with pytest.raises(TooLarge, match="exponent"):  # a JSON number literal takes the same route
+        parse_metric('{"points": ["a", "b"], "distances": [[0, 1e2001], [1e2001, 0]]}')
+    for big in (10 ** 2000, -10 ** 2000, Fraction(1, 10 ** 2000), Fraction(1, 10 ** 2001 + 1)):
+        with pytest.raises(TooLarge):
+            MetricSpace(("a", "b"), ((0, big), (big, 0)))
+    for edge in (10 ** 2000 - 1, Fraction(10 ** 2000 - 1, 10 ** 2000 - 3)):
+        assert MetricSpace(("a", "b"), ((0, edge), (edge, 0))).d("a", "b") == edge
+
+
+def test_lcm_of_many_long_denominators_stops_at_the_cap():
+    """496 distinct 1000-digit denominators: L passes the cap after the
+    third one, long before the full lcm or the scaled table is built."""
+    rng = random.Random(5)
+    n = 32
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            q = rng.randrange(10 ** 999, 10 ** 1000)
+            rows[i][j] = rows[j][i] = Fraction(q + 1, q)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        MetricSpace(tuple(f"p{i}" for i in range(n)), tuple(map(tuple, rows)))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_parse_exact_decimal_number_literal():

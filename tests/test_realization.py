@@ -241,7 +241,9 @@ def test_verify_map_errors():
 # ---------------------------------------------------------------------------
 
 def test_embed_rejects_a_host_graph_above_the_cap(monkeypatch):
-    huge = MetricSpace.from_rows(["a", "b"], [[0, "1e100000"], ["1e100000", 0]])
+    with pytest.raises(TooLarge):  # refused before 10**100000 is built
+        MetricSpace.from_rows(["a", "b"], [[0, "1e100000"], ["1e100000", 0]])
+    huge = MetricSpace.from_rows(["a", "b"], [[0, "1e1999"], ["1e1999", 0]])
     with pytest.raises(TooLarge):
         embed(huge)
     with pytest.raises(TooLarge):
