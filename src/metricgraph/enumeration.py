@@ -36,13 +36,15 @@ def _pair_positions(n: int) -> list[tuple[int, int]]:
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
-    nbits = n * (n - 1) // 2
-    edges = [
-        (i, j)
-        for c, (i, j) in enumerate(_pair_positions(n))
-        if (mask >> (nbits - 1 - c)) & 1
-    ]
-    return Graph.from_edges([f"v{k}" for k in range(n)], edges)
+    """The graph on v0..v{n-1} with adjacency bitmask `mask`, its sorted
+    rows read column by column; the `Graph` constructor checks them."""
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for k, col in enumerate(_columns(n, mask)):
+        for i in range(k):
+            if col >> (k - 1 - i) & 1:
+                rows[i].append(k)
+                rows[k].append(i)
+    return Graph(tuple(f"v{k}" for k in range(n)), tuple(map(tuple, rows)))
 
 
 def mask_from_graph(g: Graph) -> int:

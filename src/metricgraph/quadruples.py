@@ -31,7 +31,7 @@ from .errors import (
     TooSmall,
     WrongArity,
 )
-from .graph import Graph, classify_shape, geodesic_metric, graph_doc
+from .graph import Graph, classify_shape, connected_distances, graph_doc
 from .metric import MetricSpace, Rational, json_text
 
 
@@ -46,18 +46,25 @@ def mb_check(m: MetricSpace) -> tuple[str, str, str] | None:
     with d(x,z) >= max(d(x,y), d(y,z)) satisfies d(x,z) = d(x,y) + d(y,z);
     otherwise the lexicographically first violating triple by point index.
     """
-    n = m.n
-    d = m.dist
+    triple = _mb_violation(m.dist)
+    return None if triple is None else tuple(m.labels[i] for i in triple)  # type: ignore[return-value]
+
+
+def _mb_violation(d: tuple[tuple[Rational, ...], ...]) -> tuple[int, int, int] | None:
+    """`mb_check` on the distance rows `d`, as point indices."""
+    n = len(d)
     for a in range(n):
+        da = d[a]
         for b in range(n):
             if b == a:
                 continue
+            dab, db = da[b], d[b]
             for c in range(n):
                 if c == a or c == b:
                     continue
-                if d[a][c] >= d[a][b] and d[a][c] >= d[b][c]:
-                    if d[a][c] != d[a][b] + d[b][c]:
-                        return (m.labels[a], m.labels[b], m.labels[c])
+                dac = da[c]
+                if dac >= dab and dac >= db[c] and dac != dab + db[c]:
+                    return (a, b, c)
     return None
 
 
@@ -111,26 +118,6 @@ def _require_four(labels: Iterable[str]) -> tuple[str, str, str, str]:
 _PAIRINGS = ((0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3))
 
 
-def _plq_match(
-    d: tuple[tuple[Rational, ...], ...], quad: tuple[int, int, int, int]
-) -> tuple[tuple[int, int, int, int], Rational, Rational] | None:
-    """First of `_PAIRINGS` under which the points `quad` (indices into the
-    distance table `d`) fit the pseudo-linear pattern, as (cyclic order
-    rotated so that s <= t, s, t); None when no pairing fits."""
-    for pa, pb, pc, pe in _PAIRINGS:
-        a, b, c, e = quad[pa], quad[pb], quad[pc], quad[pe]
-        s = d[a][b]
-        t = d[b][c]
-        if d[c][e] != s or d[e][a] != t:
-            continue
-        if d[a][c] != s + t or d[b][e] != s + t:
-            continue
-        if s <= t:
-            return (a, b, c, e), s, t
-        return (b, c, e, a), t, s
-    return None
-
-
 def plq_classify(m: MetricSpace) -> PLQ | None:
     """Test a four-point space against the pseudo-linear pattern.
 
@@ -140,11 +127,17 @@ def plq_classify(m: MetricSpace) -> PLQ | None:
     """
     if m.n != 4:
         raise WrongArity(f"pseudo-linear classification needs 4 points, got {m.n}")
-    match = _plq_match(m.dist, (0, 1, 2, 3))
-    if match is None:
-        return None
-    order, s, t = match
-    return PLQ(tuple(m.labels[i] for i in order), s, t)  # type: ignore[arg-type]
+    d = m.dist
+    for a, b, c, e in _PAIRINGS:
+        s = d[a][b]
+        t = d[b][c]
+        if d[c][e] != s or d[e][a] != t:
+            continue
+        if d[a][c] != s + t or d[b][e] != s + t:
+            continue
+        order = (a, b, c, e) if s <= t else (b, c, e, a)
+        return PLQ(tuple(m.labels[i] for i in order), min(s, t), max(s, t))  # type: ignore[arg-type]
+    return None
 
 
 @dataclass(frozen=True)
@@ -196,17 +189,19 @@ def check_conjecture_42(g: Graph) -> ConjectureViolation | None:
 
     Consistent (None) when the two agree.  The infinite shapes (ray,
     double ray) cannot occur among finite inputs, so the shape side is
-    just {path, C4}.  Raises `Disconnected` through `geodesic_metric`.
+    just {path, C4}.  Reads the unvalidated BFS rows of
+    `connected_distances`, which raises `Disconnected`.
     """
-    m = geodesic_metric(g)
+    d = connected_distances(g)
     if g.edge_count() == 0:
         raise EmptyGraph("conjecture applies to graphs with at least one edge")
-    mb_witness = mb_check(m)
+    mb_witness = _mb_violation(d)
     shape_ok = _shape_in_conjecture(g)
     if mb_witness is None and not shape_ok:
         return ConjectureViolation("C42", g, (), "mb_implies_shape")
     if mb_witness is not None and shape_ok:
-        return ConjectureViolation("C42", g, mb_witness, "shape_implies_mb")
+        witness = tuple(g.vertex_labels[i] for i in mb_witness)
+        return ConjectureViolation("C42", g, witness, "shape_implies_mb")
     return None
 
 
@@ -219,15 +214,23 @@ def _c44_status(
 
     The induced subgraph is a 4-cycle exactly when it is 2-regular: each
     of the four vertices is adjacent to exactly two of the other three.
+
+    Closed form of the second: for one pairing, all four sides equal s
+    and both diagonals 2s.  It matches `plq_classify`'s first fitting
+    pairing because with positive distances at most one pairing fits: if
+    P (sides s, t) and P' (sides s', t') both did, each one's diagonal pair
+    would be a side pair of the other, so s' + t' <= max(s, t) < s + t <=
+    max(s', t'), a contradiction.
     """
     a, b, c, e = quad
-    da, db, dc = d[a], d[b], d[c]
-    ab, ac, ae = da[b] == 1, da[c] == 1, da[e] == 1
-    bc, be, ce = db[c] == 1, db[e] == 1, dc[e] == 1
+    da, db = d[a], d[b]
+    ab, ac, ae = da[b], da[c], da[e]
+    bc, be, ce = db[c], db[e], d[c][e]
+    holds_ii = ab == ce and ac == be and ae == bc and (
+        ab == ac and ae == 2 * ab or ab == ae and ac == 2 * ab or ac == ae and ab == 2 * ac)
+    ab, ac, ae, bc, be, ce = ab == 1, ac == 1, ae == 1, bc == 1, be == 1, ce == 1
     holds_i = (ab + ac + ae == 2 and ab + bc + be == 2
                and ac + bc + ce == 2 and ae + be + ce == 2)
-    match = _plq_match(d, quad)
-    holds_ii = match is not None and match[1] == match[2]
     return holds_i, holds_ii
 
 
@@ -243,8 +246,9 @@ def four_subset_status(metric: MetricSpace, subset: Iterable[str]) -> tuple[bool
 def check_conjecture_44(g: Graph) -> list[ConjectureViolation]:
     """All 4-vertex subsets where induced-4-cycle and equilateral
     pseudo-linear status disagree (empty list = consistent on g).
-    Raises `Disconnected` through `geodesic_metric`."""
-    d = geodesic_metric(g).dist
+    Reads the unvalidated BFS rows of `connected_distances`, which raises
+    `Disconnected`."""
+    d = connected_distances(g)
     if g.n < 4:
         raise TooSmall(f"need at least 4 vertices, got {g.n}")
     labels = g.vertex_labels
@@ -331,7 +335,8 @@ def search(
     jobs: int = 1,
 ) -> ConjectureReport:
     """Run a conjecture checker across every connected isomorphism class
-    up to max_n vertices, smallest vertex count first.
+    up to max_n vertices, smallest vertex count first; `TooSmall` when
+    max_n is below the conjecture's smallest checkable n (4 for C44).
 
     With jobs > 1 the checks run in a process pool; the graphs are still
     enumerated here and the results are read back in order, so the report
@@ -341,13 +346,16 @@ def search(
         raise ParseError(f"unknown conjecture id {conjecture_id!r}; use C42 or C44")
     if not 3 <= max_n <= HARD_CAP:
         raise TooLarge(f"search needs 3 <= max_n <= {HARD_CAP}, got {max_n}")
+    min_n = _CONJECTURES[conjecture_id]
+    if max_n < min_n:
+        raise TooSmall(f"{conjecture_id} search needs max_n >= {min_n}, got {max_n}")
     if jobs < 1:
         raise TooSmall(f"search needs jobs >= 1, got {jobs}")
     if max_violations < 1:
         raise TooSmall(f"search needs max_violations >= 1, got {max_violations}")
     graphs = (
         g
-        for n in range(_CONJECTURES[conjecture_id], max_n + 1)
+        for n in range(min_n, max_n + 1)
         for g in enumerate_connected_graphs(n)
     )
     check = functools.partial(check_graph, conjecture_id)

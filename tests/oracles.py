@@ -177,6 +177,17 @@ def has_between_point(m: MetricSpace, i: int, j: int) -> bool:
     )
 
 
+def first_mb_violation(m: MetricSpace) -> tuple[str, str, str] | None:
+    """Betweenness-class oracle: the first ordered triple of distinct points
+    (lexicographic by index) with d(x,z) >= max(d(x,y), d(y,z)) but
+    d(x,z) != d(x,y) + d(y,z)."""
+    d = m.dist
+    for a, b, c in itertools.permutations(range(m.n), 3):
+        if d[a][c] >= max(d[a][b], d[b][c]) and d[a][c] != d[a][b] + d[b][c]:
+            return (m.labels[a], m.labels[b], m.labels[c])
+    return None
+
+
 def plq_pattern_orderings(m: MetricSpace) -> list[tuple[str, str, str, str]]:
     """All of the 24 orderings of a 4-point space satisfying the
     pseudo-linear pattern literally."""

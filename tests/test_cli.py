@@ -447,6 +447,10 @@ def test_search_rejects_nonpositive_counts(capsys, flag, value):
 def test_search_max_n_guard(capsys):
     code, _, _ = run(capsys, "search", "--conjecture", "4.2", "--max-n", "10")
     assert code == 2
+    code, out, _ = run(capsys, "search", "--conjecture", "4.4", "--max-n", "3")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "TooSmall" and "max_n >= 4" in doc["message"]
 
 
 def test_missing_file(capsys):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from metricgraph import Graph, TooLarge, canonical_form, cycle_graph, enumerate_connected_graphs, path_graph
-from metricgraph.enumeration import _columns, _encode, _pair_positions, _search, mask_from_graph
+from metricgraph.enumeration import _columns, _encode, _pair_positions, _search, graph_from_mask, mask_from_graph
 
 import oracles
 import randgen
@@ -85,6 +85,21 @@ def test_minimality_test_matches_slicing_oracle():
         assert verdict == oracles.is_orbit_minimal(n, mask, nbr), (n, mask)
         verdicts.add((n, verdict))
     assert {(n, v) for n in range(3, 8) for v in (False, True)} <= verdicts
+
+
+def test_graph_from_mask_matches_the_edge_route():
+    """Every mask, connected or not, for n <= 5 and a seeded sample at
+    n = 7 and 9: the rows decoded from the columns give the graph that
+    `Graph.from_edges` builds from the set bits, and the mask again."""
+    cases = [(n, mask) for n in range(1, 6) for mask in range(1 << (n * (n - 1) // 2))]
+    rng = random.Random(9)
+    cases += [(n, rng.getrandbits(n * (n - 1) // 2)) for n in (7, 9) for _ in range(300)]
+    for n, mask in cases:
+        nbits = n * (n - 1) // 2
+        edges = [p for c, p in enumerate(_pair_positions(n)) if mask >> (nbits - 1 - c) & 1]
+        g = graph_from_mask(n, mask)
+        assert g == Graph.from_edges([f"v{k}" for k in range(n)], edges), (n, mask)
+        assert mask_from_graph(g) == mask
 
 
 # ---------------------------------------------------------------------------

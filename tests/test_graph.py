@@ -125,11 +125,21 @@ def test_is_connected():
 
 
 def test_geodesic_metric_is_a_metric():
+    """The BFS rows that the sweep checkers read unvalidated pass the full
+    axiom check for every connected class with n <= 7."""
+    from metricgraph import enumerate_connected_graphs
+    from metricgraph.graph import connected_distances
+
     rng = random.Random(11)
     for _ in range(20):
         g = randgen.random_connected_graph(rng, rng.randint(2, 9))
         m = geodesic_metric(g)  # construction re-validates all axioms
         assert find_metric_violation(m.dist) is None
+    for n in range(1, 8):
+        for g in enumerate_connected_graphs(n):
+            rows = connected_distances(g)
+            assert find_metric_violation(rows) is None
+            assert geodesic_metric(g).dist == rows
     with pytest.raises(Disconnected):
         geodesic_metric(two_isolated())
 

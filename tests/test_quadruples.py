@@ -166,6 +166,9 @@ def test_plq_s_le_t_normalization():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32))
 def test_plq_matches_exhaustive_ordering_oracle(seed):
+    """Also: a fitting pairing gives the 8 orderings of one 4-cycle, so 0
+    or 8 orderings means at most one pairing fits, the fact behind the
+    closed form in `_c44_status`, whose equilateral test agrees."""
     rng = random.Random(seed)
     m = randgen.random_subset_metric(rng, 4, min_points=4)
     got = plq_classify(m)
@@ -173,6 +176,10 @@ def test_plq_matches_exhaustive_ordering_oracle(seed):
     assert (got is not None) == bool(orderings)
     if got is not None:
         assert got.ordering in orderings
+    assert len(orderings) in (0, 8)
+    d = m.d
+    equilateral = any(d(w, x) == d(x, y) for w, x, y, _ in orderings)
+    assert _c44_status(m.dist, (0, 1, 2, 3))[1] == equilateral
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +247,34 @@ def test_c42_examples():
     assert check_conjecture_42(cycle_graph(5)) is None
     star = Graph.from_edges(["c", "l1", "l2", "l3"], [(0, 1), (0, 2), (0, 3)])
     assert check_conjecture_42(star) is None  # not in the class, not path/C4
+
+
+def test_c42_matches_the_metric_route(monkeypatch):
+    """The BFS-row checker gives the same direction and witness as
+    `mb_check` on the validated geodesic metric plus `classify_shape`, and
+    that witness is the first violating triple of the definition.  The
+    shape test is also run negated, so that the `shape_implies_mb` branch,
+    which no path or 4-cycle reaches, is checked too."""
+    from metricgraph import classify_shape
+    from metricgraph import quadruples
+
+    in_shape = quadruples._shape_in_conjecture
+    graphs = [g for n in range(2, 7) for g in enumerate_connected_graphs(n)]
+    for flip in (False, True):
+        monkeypatch.setattr(quadruples, "_shape_in_conjecture", lambda g: in_shape(g) != flip)
+        for g in graphs + [cycle_graph(8), path_graph(8)]:
+            m = geodesic_metric(g)
+            witness = mb_check(m)
+            assert witness == oracles.first_mb_violation(m)
+            shape = classify_shape(g)
+            shape_ok = (shape.is_path or (shape.is_cycle and shape.size == 4)) != flip
+            expected = None
+            if witness is None and not shape_ok:
+                expected = ((), "mb_implies_shape")
+            elif witness is not None and shape_ok:
+                expected = (witness, "shape_implies_mb")
+            got = check_conjecture_42(g)
+            assert (got if got is None else (got.witness, got.direction)) == expected, g
 
 
 def test_c42_errors():
@@ -337,6 +372,33 @@ def test_search_counts_and_consistency():
     assert report.violations == ()
 
 
+def test_sweeps_build_and_validate_no_metric(monkeypatch):
+    """Swept graphs' BFS rows are metrics by construction: a sweep neither
+    re-validates them nor builds graphs through the edge-list route."""
+    from metricgraph import metric
+
+    calls = []
+    validate = metric.find_metric_violation
+    from_edges = Graph.from_edges.__func__
+
+    def counted_validate(dist):
+        calls.append("validate")
+        return validate(dist)
+
+    def counted_from_edges(cls, labels, edges):
+        calls.append("from_edges")
+        return from_edges(cls, labels, edges)
+
+    monkeypatch.setattr(metric, "find_metric_violation", counted_validate)
+    monkeypatch.setattr(Graph, "from_edges", classmethod(counted_from_edges))
+    geodesic_metric(path_graph(3))  # the patches are live
+    assert calls == ["from_edges", "validate"]
+    calls.clear()
+    assert search("C42", 6).graphs_checked == 141
+    assert search("C44", 6).graphs_checked == 139
+    assert calls == []
+
+
 def test_search_bounds():
     with pytest.raises(TooLarge):
         search("C42", 2, 10)
@@ -349,6 +411,8 @@ def test_search_bounds():
     for hidden in (0, -5):
         with pytest.raises(TooSmall):
             search("C42", 4, max_violations=hidden)
+    with pytest.raises(TooSmall, match="max_n >= 4"):  # C44 below its smallest checkable n
+        search("C44", 3)
 
 
 def test_search_report_json_deterministic():
