@@ -66,10 +66,10 @@ def _load_metric_or_graph(path: str, fmt: str) -> MetricSpace:
     """
     text = _read_input(path)
     stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if stripped.startswith(("{", "[")):
         try:
             doc = json.loads(text)
-        except ValueError as exc:  # also an int literal beyond 4300 digits
+        except (ValueError, RecursionError) as exc:  # also an int literal beyond 4300 digits
             raise ParseError(f"invalid JSON: {exc}") from exc
         if isinstance(doc, dict) and "distances" in doc:
             return parse_metric(text, "json")

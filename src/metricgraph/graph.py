@@ -254,7 +254,7 @@ def parse_graph(text: str, format: str = "json") -> Graph:
     if format == "json":
         try:
             doc = json.loads(text)
-        except ValueError as exc:  # also an int literal beyond 4300 digits
+        except (ValueError, RecursionError) as exc:  # also an int literal beyond 4300 digits
             raise ParseError(f"invalid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ParseError("graph JSON must be an object")

@@ -338,7 +338,7 @@ def parse_metric(text: str, format: str = "json") -> MetricSpace:
     if format == "json":
         try:
             doc = json.loads(text, parse_float=parse_rational)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
         except ValueError as exc:
             raise ParseError(f"invalid numeric literal: {exc}") from exc

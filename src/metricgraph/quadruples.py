@@ -189,77 +189,66 @@ def check_conjecture_42(g: Graph) -> ConjectureViolation | None:
 
     Consistent (None) when the two agree.  The infinite shapes (ray,
     double ray) cannot occur among finite inputs, so the shape side is
-    just {path, C4}.  Reads the unvalidated BFS rows of
-    `connected_distances`, which raises `Disconnected`.
+    just {path, C4}, and both are in the class: a path's metric is a line
+    metric, and in C4 the only qualifying triples have x, z opposite,
+    where 2 = 1 + 1.  So only `mb_implies_shape` can occur (empty
+    witness).  Reads the unvalidated BFS rows of `connected_distances`,
+    which raises `Disconnected`.
     """
     d = connected_distances(g)
     if g.edge_count() == 0:
         raise EmptyGraph("conjecture applies to graphs with at least one edge")
-    mb_witness = _mb_violation(d)
-    shape_ok = _shape_in_conjecture(g)
-    if mb_witness is None and not shape_ok:
-        return ConjectureViolation("C42", g, (), "mb_implies_shape")
-    if mb_witness is not None and shape_ok:
-        witness = tuple(g.vertex_labels[i] for i in mb_witness)
-        return ConjectureViolation("C42", g, witness, "shape_implies_mb")
-    return None
+    if _shape_in_conjecture(g) or _mb_violation(d) is not None:
+        return None
+    return ConjectureViolation("C42", g, (), "mb_implies_shape")
 
 
-def _c44_status(
-    d: tuple[tuple[Rational, ...], ...], quad: tuple[int, int, int, int]
-) -> tuple[bool, bool]:
+def four_subset_status(metric: MetricSpace, subset: Iterable[str]) -> tuple[bool, bool]:
     """(induced subgraph is a 4-cycle, distances form an equilateral
-    pseudo-linear quadruple) for the vertices `quad`, read from the rows
-    `d` of a graph's geodesic metric, where adjacency is distance 1.
-
-    The induced subgraph is a 4-cycle exactly when it is 2-regular: each
-    of the four vertices is adjacent to exactly two of the other three.
+    pseudo-linear quadruple) for one 4-vertex subset of a graph, given the
+    graph's geodesic metric.
 
     Closed form of the second: for one pairing, all four sides equal s
     and both diagonals 2s.  It matches `plq_classify`'s first fitting
     pairing because with positive distances at most one pairing fits: if
     P (sides s, t) and P' (sides s', t') both did, each one's diagonal pair
     would be a side pair of the other, so s' + t' <= max(s, t) < s + t <=
-    max(s', t'), a contradiction.
+    max(s', t'), a contradiction.  The first is the second with s = 1.
     """
-    a, b, c, e = quad
-    da, db = d[a], d[b]
-    ab, ac, ae = da[b], da[c], da[e]
-    bc, be, ce = db[c], db[e], d[c][e]
+    a, b, c, e = (metric.index(lab) for lab in _require_four(subset))
+    d = metric.dist
+    ab, ac, ae, bc, be, ce = d[a][b], d[a][c], d[a][e], d[b][c], d[b][e], d[c][e]
     holds_ii = ab == ce and ac == be and ae == bc and (
         ab == ac and ae == 2 * ab or ab == ae and ac == 2 * ab or ac == ae and ab == 2 * ac)
-    ab, ac, ae, bc, be, ce = ab == 1, ac == 1, ae == 1, bc == 1, be == 1, ce == 1
-    holds_i = (ab + ac + ae == 2 and ab + bc + be == 2
-               and ac + bc + ce == 2 and ae + be + ce == 2)
-    return holds_i, holds_ii
-
-
-def four_subset_status(metric: MetricSpace, subset: Iterable[str]) -> tuple[bool, bool]:
-    """(induced subgraph is a 4-cycle, distances form an equilateral
-    pseudo-linear quadruple) for one 4-vertex subset of a graph, given the
-    graph's geodesic metric.  The package itself reaches `_c44_status`
-    only through `check_graph`; perfbench's span table names this one."""
-    quad = tuple(metric.index(lab) for lab in _require_four(subset))
-    return _c44_status(metric.dist, quad)  # type: ignore[arg-type]
+    return holds_ii and min(ab, ac, ae) == 1, holds_ii
 
 
 def check_conjecture_44(g: Graph) -> list[ConjectureViolation]:
     """All 4-vertex subsets where induced-4-cycle and equilateral
-    pseudo-linear status disagree (empty list = consistent on g).
-    Reads the unvalidated BFS rows of `connected_distances`, which raises
-    `Disconnected`."""
+    pseudo-linear status disagree (empty list = consistent on g), in
+    `itertools.combinations` order.  Reads the unvalidated BFS rows of
+    `connected_distances`, which raises `Disconnected`.
+
+    Lemma: a 4-set induces a 4-cycle exactly when its distances are the
+    equilateral quadruple with s = 1: sides are edges, diagonals are
+    non-edges with a common neighbour.  So only `ii_implies_i` occurs,
+    with s >= 2: a diagonal (a, c) at distance 2s and two of its midpoints
+    b, e (d(a,b) = d(b,c) = s) at distance 2s.  Each 4-set is found from
+    both of its diagonals.
+    """
     d = connected_distances(g)
     if g.n < 4:
         raise TooSmall(f"need at least 4 vertices, got {g.n}")
+    quads = set()
+    for a, c in itertools.combinations(range(g.n), 2):
+        s, odd = divmod(d[a][c], 2)
+        if s >= 2 and not odd:
+            midpoints = [b for b in range(g.n) if d[a][b] == s == d[c][b]]
+            pairs = itertools.combinations(midpoints, 2)
+            quads.update(tuple(sorted((a, b, c, e))) for b, e in pairs if d[b][e] == 2 * s)
     labels = g.vertex_labels
-    out = []
-    for quad in itertools.combinations(range(g.n), 4):
-        holds_i, holds_ii = _c44_status(d, quad)
-        if holds_i != holds_ii:
-            direction = "i_implies_ii" if holds_i else "ii_implies_i"
-            subset = tuple(labels[i] for i in quad)
-            out.append(ConjectureViolation("C44", g, subset, direction))
-    return out
+    return [ConjectureViolation("C44", g, tuple(labels[i] for i in quad), "ii_implies_i")
+            for quad in sorted(quads)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from metricgraph import Graph, MetricSpace, MetricViolation
+from metricgraph import EmptyGraph, Graph, MetricSpace, MetricViolation, TooSmall
+from metricgraph.graph import connected_distances
 from metricgraph.metric import Rational
+from metricgraph.quadruples import ConjectureViolation, _mb_violation, _shape_in_conjecture
 
 
 def brute_shortest_length(g: Graph, u: int, v: int) -> int | None:
@@ -267,3 +269,65 @@ def violation_reproduces(
         i, j, k = w
         return dist[i][j] > dist[i][k] + dist[k][j]
     return False
+
+
+# The two conjecture checkers as they were before each kept only the
+# direction that can fail: both directions of each conjecture tested, the
+# C44 one on every 4-subset.  Kept verbatim but for the names.
+
+def check_conjecture_42_two_sided(g: Graph) -> ConjectureViolation | None:
+    d = connected_distances(g)
+    if g.edge_count() == 0:
+        raise EmptyGraph("conjecture applies to graphs with at least one edge")
+    mb_witness = _mb_violation(d)
+    shape_ok = _shape_in_conjecture(g)
+    if mb_witness is None and not shape_ok:
+        return ConjectureViolation("C42", g, (), "mb_implies_shape")
+    if mb_witness is not None and shape_ok:
+        witness = tuple(g.vertex_labels[i] for i in mb_witness)
+        return ConjectureViolation("C42", g, witness, "shape_implies_mb")
+    return None
+
+
+def c44_status(
+    d: tuple[tuple[Rational, ...], ...], quad: tuple[int, int, int, int]
+) -> tuple[bool, bool]:
+    """(induced subgraph is a 4-cycle, distances form an equilateral
+    pseudo-linear quadruple) for the vertices `quad`, read from the rows
+    `d` of a graph's geodesic metric, where adjacency is distance 1.
+
+    The induced subgraph is a 4-cycle exactly when it is 2-regular: each
+    of the four vertices is adjacent to exactly two of the other three.
+
+    Closed form of the second: for one pairing, all four sides equal s
+    and both diagonals 2s.  It matches `plq_classify`'s first fitting
+    pairing because with positive distances at most one pairing fits: if
+    P (sides s, t) and P' (sides s', t') both did, each one's diagonal pair
+    would be a side pair of the other, so s' + t' <= max(s, t) < s + t <=
+    max(s', t'), a contradiction.
+    """
+    a, b, c, e = quad
+    da, db = d[a], d[b]
+    ab, ac, ae = da[b], da[c], da[e]
+    bc, be, ce = db[c], db[e], d[c][e]
+    holds_ii = ab == ce and ac == be and ae == bc and (
+        ab == ac and ae == 2 * ab or ab == ae and ac == 2 * ab or ac == ae and ab == 2 * ac)
+    ab, ac, ae, bc, be, ce = ab == 1, ac == 1, ae == 1, bc == 1, be == 1, ce == 1
+    holds_i = (ab + ac + ae == 2 and ab + bc + be == 2
+               and ac + bc + ce == 2 and ae + be + ce == 2)
+    return holds_i, holds_ii
+
+
+def check_conjecture_44_by_subsets(g: Graph) -> list[ConjectureViolation]:
+    d = connected_distances(g)
+    if g.n < 4:
+        raise TooSmall(f"need at least 4 vertices, got {g.n}")
+    labels = g.vertex_labels
+    out = []
+    for quad in itertools.combinations(range(g.n), 4):
+        holds_i, holds_ii = c44_status(d, quad)
+        if holds_i != holds_ii:
+            direction = "i_implies_ii" if holds_i else "ii_implies_i"
+            subset = tuple(labels[i] for i in quad)
+            out.append(ConjectureViolation("C44", g, subset, direction))
+    return out

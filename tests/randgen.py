@@ -26,6 +26,18 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
     return g
 
 
+def random_sparse_graph(rng: random.Random) -> Graph:
+    """Random spanning tree on 8..16 vertices plus 1..8 extra edges."""
+    n = rng.randint(8, 16)
+    edges = set()
+    for k in range(1, n):
+        attach = rng.randrange(k)
+        edges.add((attach, k))
+    non_edges = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges]
+    edges.update(rng.sample(non_edges, rng.randint(1, 8)))
+    return Graph.from_edges([f"v{i}" for i in range(n)], sorted(edges))
+
+
 def random_subset_metric(rng: random.Random, max_points: int,
                          min_points: int = 2) -> MetricSpace:
     """Integer metric sampled as a point subset of a random graph metric."""

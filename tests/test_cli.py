@@ -374,6 +374,28 @@ def test_values_past_the_digit_cap_are_typed_errors(tmp_path, capsys):
         assert json.loads(out)["error"] == "ParseError"
 
 
+def test_deeply_nested_json_is_a_typed_error(tmp_path, capsys):
+    """The decoder's RecursionError used to end each command in a
+    traceback with the domain-negative exit code 1."""
+    deep = "[" * 200_000 + "]" * 200_000
+    bare = write(tmp_path, "deep.json", deep)
+    points = write(tmp_path, "points.json", '{"points": ' + deep + "}")
+    for argv in (("validate", bare), ("distances", bare), ("embed", bare),
+                 ("check", "--mb", points)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out)["error"] == "ParseError", argv
+        assert "Traceback" not in err, argv
+
+
+def test_check_json_array_is_not_read_as_a_matrix(tmp_path, capsys):
+    path = write(tmp_path, "arr.json", "[" + EGYPTIAN_JSON + "]")
+    code, out, _ = run(capsys, "check", "--mb", path)
+    assert code == 2
+    assert json.loads(out) == {"error": "ParseError",
+                               "message": "JSON input is neither a metric nor a graph document"}
+
+
 def test_check_bad_labels(tmp_path, capsys):
     path = write(tmp_path, "c4m.json", dump_metric(geodesic_metric(cycle_graph(4))))
     code, _, _ = run(capsys, "check", "--plq", path, "v0", "v1", "v2", "zz")

@@ -271,6 +271,10 @@ def test_parse_graph_errors():
     for text in ("3 1\n1 1\n", "3 2\n0 1\n1 0\n", "3 1\n0 3\n", "3 1\n-1 0\n"):
         with pytest.raises(ParseError):
             parse_graph(text, "text")
+    deep = "[" * 200_000 + "]" * 200_000
+    for text in (deep, '{"vertices": ' + deep + ', "edges": []}'):
+        with pytest.raises(ParseError, match="recursion"):
+            parse_graph(text)
 
 
 def test_text_header_vertex_count_is_capped(monkeypatch):

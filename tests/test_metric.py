@@ -155,6 +155,14 @@ def test_parse_errors():
         parse_metric('{"distances": [[0]]}')
 
 
+def test_deeply_nested_json_is_a_parse_error():
+    """The decoder's RecursionError used to escape as a traceback."""
+    deep = "[" * 200_000 + "]" * 200_000
+    for text in (deep, '{"points": ' + deep + ', "distances": [[0]]}'):
+        with pytest.raises(ParseError, match="recursion"):
+            parse_metric(text)
+
+
 def test_reserved_label_is_reported_before_the_table_is_checked():
     with pytest.raises(ParseError, match="reserved"):
         parse_metric('{"points": ["a", "__x"], "distances": [[0, 1], [2, 0]]}')

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import multiprocessing
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +37,7 @@ from metricgraph import (
     replay_violation,
     search,
 )
-from metricgraph.quadruples import _c44_status, assemble_report, ConjectureViolation, four_subset_status
+from metricgraph.quadruples import assemble_report, ConjectureViolation, four_subset_status
 
 import oracles
 import randgen
@@ -168,7 +170,7 @@ def test_plq_s_le_t_normalization():
 def test_plq_matches_exhaustive_ordering_oracle(seed):
     """Also: a fitting pairing gives the 8 orderings of one 4-cycle, so 0
     or 8 orderings means at most one pairing fits, the fact behind the
-    closed form in `_c44_status`, whose equilateral test agrees."""
+    closed form in `four_subset_status`, whose equilateral test agrees."""
     rng = random.Random(seed)
     m = randgen.random_subset_metric(rng, 4, min_points=4)
     got = plq_classify(m)
@@ -179,7 +181,7 @@ def test_plq_matches_exhaustive_ordering_oracle(seed):
     assert len(orderings) in (0, 8)
     d = m.d
     equilateral = any(d(w, x) == d(x, y) for w, x, y, _ in orderings)
-    assert _c44_status(m.dist, (0, 1, 2, 3))[1] == equilateral
+    assert four_subset_status(m, m.labels)[1] == equilateral
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +252,12 @@ def test_c42_examples():
 
 
 def test_c42_matches_the_metric_route(monkeypatch):
-    """The BFS-row checker gives the same direction and witness as
-    `mb_check` on the validated geodesic metric plus `classify_shape`, and
-    that witness is the first violating triple of the definition.  The
-    shape test is also run negated, so that the `shape_implies_mb` branch,
-    which no path or 4-cycle reaches, is checked too."""
+    """The BFS-row checker gives the same result as `mb_check` on the
+    validated geodesic metric plus `classify_shape`, and `mb_check`'s
+    witness is the first violating triple of the definition.  Paths and C4
+    are in the class, the lemma that lets the checker skip their scan.  The
+    shape test is also run negated, so that the `mb_implies_shape` branch
+    runs on graphs in the class too: the paths and 4-cycles."""
     from metricgraph import classify_shape
     from metricgraph import quadruples
 
@@ -267,12 +270,12 @@ def test_c42_matches_the_metric_route(monkeypatch):
             witness = mb_check(m)
             assert witness == oracles.first_mb_violation(m)
             shape = classify_shape(g)
-            shape_ok = (shape.is_path or (shape.is_cycle and shape.size == 4)) != flip
+            path_or_c4 = shape.is_path or (shape.is_cycle and shape.size == 4)
+            if path_or_c4:
+                assert witness is None, g
             expected = None
-            if witness is None and not shape_ok:
+            if witness is None and path_or_c4 == flip:
                 expected = ((), "mb_implies_shape")
-            elif witness is not None and shape_ok:
-                expected = (witness, "shape_implies_mb")
             got = check_conjecture_42(g)
             assert (got if got is None else (got.witness, got.direction)) == expected, g
 
@@ -334,8 +337,35 @@ def test_c44_status_matches_shape_and_plq_route():
             plq = plq_classify(m.restrict(subset))
             expected = (shape.is_cycle and shape.size == 4,
                         plq is not None and plq.equilateral)
-            assert _c44_status(m.dist, quad) == expected
+            assert four_subset_status(m, subset) == expected
             assert four_subset_status(m, subset[::-1]) == expected
+
+
+def grid_graph(r: int, c: int) -> Graph:
+    labels = [f"v{i}" for i in range(r * c)]
+    edges = [(i, i + 1) for i in range(r * c) if (i + 1) % c]
+    edges += [(i, i + c) for i in range(r * c - c)]
+    return Graph.from_edges(labels, edges)
+
+
+def test_checkers_match_the_two_sided_routes():
+    """Each checker tests only the direction that can fail; the routes that
+    test both (C44 on every 4-subset) give the same output on every class
+    with n <= 7, C4..C16, P4..P16, the r x c grids with 2 <= r, c <= 5 and
+    1000 seeded sparse graphs, a set with at least 50 C44 violations."""
+    rng = random.Random(20261018)
+    graphs = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
+    graphs += [f(n) for f in (cycle_graph, path_graph) for n in range(4, 17)]
+    graphs += [grid_graph(r, c) for r in range(2, 6) for c in range(2, 6)]
+    graphs += [randgen.random_sparse_graph(rng) for _ in range(1000)]
+    c44_violations = 0
+    for g in graphs:
+        assert check_conjecture_42(g) == oracles.check_conjecture_42_two_sided(g), g
+        if g.n >= 4:
+            violations = check_conjecture_44(g)
+            assert violations == oracles.check_conjecture_44_by_subsets(g), g
+            c44_violations += len(violations)
+    assert c44_violations >= 50
 
 
 def test_violations_replay():
@@ -353,6 +383,31 @@ def test_violations_replay():
     ]
     for fake in not_replayed:
         assert not replay_violation(fake), fake
+
+
+EVIDENCE = Path(__file__).resolve().parent.parent / "evidence"
+
+
+def test_n9_evidence_matches_its_sums_and_replays():
+    """The committed `search --conjecture 4.2|4.4 --max-n 9` reports match
+    evidence/SHA256SUMS, count the A001349 classes, and every recorded
+    violation replays.  The sweeps themselves take minutes and are not
+    re-run here."""
+    sums = dict(line.split()[::-1] for line in (EVIDENCE / "SHA256SUMS").read_text().splitlines())
+    assert sorted(sums) == ["c42-n9.json", "c44-n9.json"]
+    classes = {3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117, 9: 261080}
+    for name, digest in sums.items():
+        data = (EVIDENCE / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+        doc = json.loads(data)
+        conjecture = doc["conjecture"]
+        assert (conjecture, doc["max_n"]) == (name[:3].upper(), 9)
+        min_n = {"C42": 3, "C44": 4}[conjecture]
+        assert doc["graphs_checked"] == sum(k for n, k in classes.items() if n >= min_n)
+        for v in doc["violations"]:
+            g = Graph.from_edges(v["graph"]["vertices"], v["graph"]["edges"])
+            assert replay_violation(
+                ConjectureViolation(conjecture, g, tuple(v["witness"]), v["direction"]))
 
 
 # ---------------------------------------------------------------------------
