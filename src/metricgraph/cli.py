@@ -36,9 +36,10 @@ DOMAIN_NEGATIVE = 1
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+    try:
+        return sys.stdin.read() if path == "-" else Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not {exc.encoding} text: {exc.reason} at byte {exc.start}") from exc
 
 
 def _emit(doc: dict) -> None:
@@ -57,7 +58,7 @@ def _load_metric(path: str, fmt: str) -> MetricSpace:
     return parse_metric(_read_input(path), _metric_format_of(fmt))
 
 
-def _load_metric_or_graph(path: str, fmt: str) -> MetricSpace:
+def _load_metric_or_graph(path: str) -> MetricSpace:
     """Metric file, or graph file converted through its geodesic metric.
 
     JSON inputs are told apart by their keys; text inputs by the token
@@ -125,7 +126,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _write_artifacts(args: argparse.Namespace, result: RealizationResult) -> dict:
-    graph_format = "text" if args.format == "text" else "json"
     # Each point is the host vertex with its own label, and a result only
     # exists once its BFS verification has passed.
     points = result.graph.vertex_labels[:result.graph.n - result.aux_count]
@@ -139,7 +139,7 @@ def _write_artifacts(args: argparse.Namespace, result: RealizationResult) -> dic
         "map": args.map,
     }
     if args.out:
-        Path(args.out).write_text(dump_graph(result.graph, graph_format))
+        Path(args.out).write_text(dump_graph(result.graph, args.format))
     else:
         out_doc["graph"] = graph_doc(result.graph)
     if args.map:
@@ -199,8 +199,7 @@ def cmd_ceil_embed(args: argparse.Namespace) -> int:
 
 
 def cmd_distances(args: argparse.Namespace) -> int:
-    g = parse_graph(_read_input(args.input),
-                    "text" if args.format == "text" else "json")
+    g = parse_graph(_read_input(args.input), args.format)
     try:
         m = geodesic_metric(g)
     except Disconnected:
@@ -213,7 +212,7 @@ def cmd_distances(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    m = _load_metric_or_graph(args.input, args.format)
+    m = _load_metric_or_graph(args.input)
     if args.labels:
         m = m.restrict(args.labels)
 
@@ -287,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("input", help="input file, or - for stdin")
         p.add_argument("--format", choices=["json", "text"], default="json",
-                       help="file format (text = matrix/edge-list)")
+                       help="file format (text = matrix/edge-list); check detects it itself")
 
     p = sub.add_parser("validate", help="metric axioms, integrality, realizability")
     add_common(p)
@@ -334,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _USAGE_ERRORS = (
     ParseError, UnknownLabel, WrongArity, TooLarge, TooSmall,
-    NotIntegerMetric, EmptySubset, EmptyGraph, FileNotFoundError,
+    NotIntegerMetric, EmptySubset, EmptyGraph, OSError,
 )
 
 

@@ -16,8 +16,9 @@ a winner", Ann. Discrete Math. 2, 1978) over orbit-minimal bitmasks: each
 class is reached once, at the one mask that is minimal in its orbit, and
 no table of labeled masks or permutations is built.  Each emitted
 representative is therefore exactly the graph whose bitmask equals its own
-canonical form.  Memory stays in the tens of megabytes; n = 8 (11 117
-classes) takes seconds and n = 9 (261 080 classes) under two minutes.
+canonical form.  The tree is walked in mask order and no level is held:
+on a shared 2-core VM, n = 9 (261 080 classes) takes 2-2.5 minutes, yields
+its first class within 2 s and peaks at 16 MB RSS; n = 8 takes seconds.
 """
 
 from __future__ import annotations
@@ -48,11 +49,9 @@ def graph_from_mask(n: int, mask: int) -> Graph:
 
 
 def mask_from_graph(g: Graph) -> int:
-    nbits = g.n * (g.n - 1) // 2
     mask = 0
-    for c, (i, j) in enumerate(_pair_positions(g.n)):
-        if g.has_edge(i, j):
-            mask |= 1 << (nbits - 1 - c)
+    for i, j in _pair_positions(g.n):
+        mask = mask << 1 | g.has_edge(i, j)
     return mask
 
 
@@ -156,26 +155,35 @@ def _is_connected(n: int, nbr: list[int]) -> bool:
     return reach == (1 << n) - 1
 
 
-def _connected_minimal_masks(n: int) -> list[int]:
-    """Every orbit-minimal mask of a connected graph on n vertices, sorted.
+def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
+    """One representative per isomorphism class of connected graphs on n
+    vertices, in increasing bitmask order; each one's bitmask is its canonical form.
 
     Setting the lowest-significance zero bit of an orbit-minimal mask gives
     another one, so these masks form a tree rooted at K_n.  A node's
-    children are the node with one bit below its lowest zero bit cleared,
-    kept when `_search` finds no smaller column string.  Removing an edge
-    never reconnects a graph, so a disconnected child is dropped with its
-    whole subtree.
+    children clear one bit below its lowest zero bit and are kept when
+    `_search` finds no smaller column string; a disconnected child is
+    dropped with its whole subtree, as removing edges never reconnects.
+
+    The walk is post-order, smallest child first, which is increasing mask
+    order: the child C_a of a node P clears bit a, below P's lowest zero
+    bit; C_a's subtree only clears bits below a, so it lies in
+    (C_a - 2^a, C_a], below the subtree of every C_b with b < a and below P.
     """
+    if n < 1 or n > HARD_CAP:
+        raise TooLarge(f"enumeration supports 1 <= n <= {HARD_CAP}, got {n}")
     nbits = n * (n - 1) // 2
     pairs = _pair_positions(n)
     full = (1 << n) - 1
-    found = []
-    stack = [((1 << nbits) - 1, [full ^ (1 << v) for v in range(n)])]
+    stack: list[tuple[int, list[int] | None]] = [((1 << nbits) - 1, [full ^ (1 << v) for v in range(n)])]
     while stack:
         mask, nbr = stack.pop()
-        found.append(mask)
+        if nbr is None:
+            yield graph_from_mask(n, mask)
+            continue
+        stack.append((mask, None))
         lowest_zero = (~mask & (mask + 1)).bit_length() - 1
-        for sig in range(lowest_zero):
+        for sig in range(lowest_zero):  # the highest sig, the smallest child, is popped first
             i, j = pairs[nbits - 1 - sig]
             child_nbr = list(nbr)
             child_nbr[i] ^= 1 << j
@@ -183,20 +191,3 @@ def _connected_minimal_masks(n: int) -> list[int]:
             child = mask ^ (1 << sig)
             if _is_connected(n, child_nbr) and not _search(n, child_nbr, _columns(n, child), stop=True):
                 stack.append((child, child_nbr))
-    found.sort()
-    return found
-
-
-def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
-    """One representative per isomorphism class of connected graphs on n
-    vertices, in increasing bitmask order.
-
-    Each yielded graph's bitmask is the minimum of its permutation orbit,
-    so it coincides with the graph's canonical form.  The whole level is
-    generated before the first graph is yielded.
-    """
-    if n < 1 or n > HARD_CAP:
-        raise TooLarge(f"enumeration supports 1 <= n <= {HARD_CAP}, got {n}")
-    for mask in _connected_minimal_masks(n):
-        yield graph_from_mask(n, mask)
-

@@ -3,6 +3,12 @@
 from __future__ import annotations
 
 
+def excerpt(value: object) -> str:
+    """`repr(value)` cut to 80 characters, for an error message to repeat."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 class MetricGraphError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -39,7 +45,7 @@ class ConditionFailed(MetricGraphError):
 
     def __init__(self, witness: tuple[str, str]):
         super().__init__(
-            f"no point lies between {witness[0]!r} and {witness[1]!r} "
+            f"no point lies between {excerpt(witness[0])} and {excerpt(witness[1])} "
             f"(distance >= 2); exact realization impossible"
         )
         self.witness = witness

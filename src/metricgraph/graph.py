@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import Disconnected, EmptySubset, ParseError, TooLarge, UnknownLabel
+from .errors import Disconnected, EmptySubset, ParseError, TooLarge, UnknownLabel, excerpt
 from .metric import MetricSpace, json_text, label_index
 
 DistanceMatrix = tuple[tuple[int | None, ...], ...]
@@ -43,7 +43,7 @@ class Graph:
             prev = -1
             for j in row:
                 if type(j) is not int or not 0 <= j < n:
-                    raise ParseError(f"neighbor {j!r} of vertex {i} is not an index below {n}")
+                    raise ParseError(f"neighbor {excerpt(j)} of vertex {i} is not an index below {n}")
                 if j == i:
                     raise ParseError(f"self-loop at vertex {i}")
                 if j <= prev:
@@ -67,10 +67,10 @@ class Graph:
         nbrs: list[list[int]] = [[] for _ in range(n)]
         for e in edges:
             if not isinstance(e, (list, tuple)) or len(e) != 2:
-                raise ParseError(f"edge {e!r} must be a pair")
+                raise ParseError(f"edge {excerpt(e)} must be a pair")
             i, j = e
             if type(i) is not int or type(j) is not int or not (0 <= i < n and 0 <= j < n):
-                raise ParseError(f"edge {e!r} must hold integer indices below {n}")
+                raise ParseError(f"edge {excerpt(e)} must hold integer indices below {n}")
             nbrs[i].append(j)
             nbrs[j].append(i)
         return cls(
@@ -86,7 +86,7 @@ class Graph:
         try:
             return self._index[label]  # type: ignore[attr-defined]
         except KeyError:
-            raise UnknownLabel(f"unknown vertex label {label!r}") from None
+            raise UnknownLabel(f"unknown vertex label {excerpt(label)}") from None
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list as index pairs (i, j) with i < j, sorted."""
@@ -106,19 +106,17 @@ class Graph:
 # Factories
 # ---------------------------------------------------------------------------
 
-def path_graph(n: int, prefix: str = "v") -> Graph:
+def path_graph(n: int) -> Graph:
     """Path on n vertices v0-v1-...-v{n-1}."""
-    return Graph.from_edges(
-        [f"{prefix}{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)]
-    )
+    return Graph.from_edges([f"v{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
 
 
-def cycle_graph(n: int, prefix: str = "v") -> Graph:
+def cycle_graph(n: int) -> Graph:
     """Cycle on n >= 3 vertices in ring order."""
     if n < 3:
         raise ParseError(f"a cycle needs at least 3 vertices, got {n}")
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-    return Graph.from_edges([f"{prefix}{i}" for i in range(n)], edges)
+    return Graph.from_edges([f"v{i}" for i in range(n)], edges)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +177,7 @@ def shortest_path(g: Graph, x: str, z: str) -> list[str]:
     src, dst = g.index(x), g.index(z)
     dist = _bfs_from(g, src)
     if dist[dst] is None:
-        raise Disconnected(f"no path joins {x!r} and {z!r}")
+        raise Disconnected(f"no path joins {excerpt(x)} and {excerpt(z)}")
     rev = [dst]
     cur = dst
     while cur != src:
@@ -272,13 +270,13 @@ def parse_graph(text: str, format: str = "json") -> Graph:
             raise ParseError("empty graph input")
         header = lines[0].split()
         if len(header) != 2:
-            raise ParseError(f"expected header 'n m', got {lines[0]!r}")
+            raise ParseError(f"expected header 'n m', got {excerpt(lines[0])}")
         try:
             n, m = int(header[0]), int(header[1])
         except ValueError as exc:
-            raise ParseError(f"bad header {lines[0]!r}") from exc
+            raise ParseError(f"bad header {excerpt(lines[0])}") from exc
         if n > MAX_HOST_VERTICES:
-            raise TooLarge(f"header declares {n} vertices, more than {MAX_HOST_VERTICES}")
+            raise TooLarge(f"header declares {excerpt(n)} vertices, more than {MAX_HOST_VERTICES}")
         if len(lines) - 1 != m:
             raise ParseError(f"expected {m} edge lines, got {len(lines) - 1}")
         try:

@@ -25,6 +25,7 @@ from .errors import (
     ParseError,
     TooLarge,
     UnknownLabel,
+    excerpt,
 )
 
 RESERVED_PREFIX = "__"
@@ -59,19 +60,17 @@ def parse_rational(value: int | str | Fraction) -> Rational:
     if isinstance(value, int):
         return int(value)
     if isinstance(value, float):
-        raise ParseError(
-            f"float distance {value!r} rejected; pass a decimal string instead"
-        )
+        raise ParseError(f"float distance {value!r} rejected; pass a decimal string instead")
     if isinstance(value, (str, Fraction)):
         try:
             if isinstance(value, str) and ("e" in value or "E" in value):
                 if abs(int(value.lower().partition("e")[2])) > MAX_DIGITS:
-                    raise TooLarge(f"distance {value!r} has a decimal exponent beyond {MAX_DIGITS}")
+                    raise TooLarge(f"distance {excerpt(value)} has a decimal exponent beyond {MAX_DIGITS}")
             q = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"not a rational number: {value!r}") from exc
+            raise ParseError(f"not a rational number: {excerpt(value)}") from exc
         return q.numerator if q.denominator == 1 else q
-    raise ParseError(f"unsupported distance value: {value!r}")
+    raise ParseError(f"unsupported distance value: {excerpt(value)}")
 
 
 def format_rational(q: Rational) -> str:
@@ -173,11 +172,11 @@ def label_index(labels: tuple[str, ...], kind: str) -> dict[str, int]:
     one check that each label is a nonempty `str`, before any is hashed, and distinct."""
     for lab in labels:
         if not isinstance(lab, str) or not lab:
-            raise ParseError(f"{kind} labels must be nonempty strings, got {lab!r}")
+            raise ParseError(f"{kind} labels must be nonempty strings, got {excerpt(lab)}")
     index: dict[str, int] = {}
     for i, lab in enumerate(labels):
         if index.setdefault(lab, i) != i:
-            raise ParseError(f"duplicate {kind} label {lab!r}")
+            raise ParseError(f"duplicate {kind} label {excerpt(lab)}")
     return index
 
 
@@ -210,7 +209,7 @@ class MetricSpace:
             for v in row:
                 if type(v) is not int and type(v) is not Fraction:
                     raise ParseError(
-                        f"distance {v!r} is not an int or a Fraction; "
+                        f"distance {excerpt(v)} is not an int or a Fraction; "
                         "MetricSpace.from_rows parses decimal strings"
                     )
         violation = find_metric_violation(self.dist)
@@ -235,7 +234,7 @@ class MetricSpace:
         try:
             return self._index[label]  # type: ignore[attr-defined]
         except KeyError:
-            raise UnknownLabel(f"unknown point label {label!r}") from None
+            raise UnknownLabel(f"unknown point label {excerpt(label)}") from None
 
     def d(self, x: str, y: str) -> Rational:
         return self.dist[self.index(x)][self.index(y)]
@@ -359,7 +358,7 @@ def parse_metric(text: str, format: str = "json") -> MetricSpace:
                 raise ParseError("distance table must be square")
         for lab in labels:
             if isinstance(lab, str) and lab.startswith(RESERVED_PREFIX):
-                raise ParseError(f"label {lab!r} uses the reserved {RESERVED_PREFIX!r} prefix")
+                raise ParseError(f"label {excerpt(lab)} uses the reserved {RESERVED_PREFIX!r} prefix")
         return MetricSpace.from_rows(labels, rows)
 
     if format == "matrix":
@@ -369,9 +368,9 @@ def parse_metric(text: str, format: str = "json") -> MetricSpace:
         try:
             n = int(tokens[0])
         except ValueError as exc:
-            raise ParseError(f"first token must be the size, got {tokens[0]!r}") from exc
+            raise ParseError(f"first token must be the size, got {excerpt(tokens[0])}") from exc
         if n < 1:
-            raise ParseError(f"size must be >= 1, got {n}")
+            raise ParseError(f"size must be >= 1, got {excerpt(n)}")
         values = tokens[1:]
         if len(values) != n * n:
             raise ParseError(f"expected {n * n} entries, got {len(values)}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -30,6 +31,7 @@ from .errors import (
     TooLarge,
     TooSmall,
     WrongArity,
+    excerpt,
 )
 from .graph import Graph, classify_shape, connected_distances, graph_doc
 from .metric import MetricSpace, Rational, json_text
@@ -291,7 +293,7 @@ def check_graph(conjecture_id: str, g: Graph) -> list[ConjectureViolation]:
         return [] if v is None else [v]
     if conjecture_id == "C44":
         return check_conjecture_44(g)
-    raise ParseError(f"unknown conjecture id {conjecture_id!r}; use C42 or C44")
+    raise ParseError(f"unknown conjecture id {excerpt(conjecture_id)}; use C42 or C44")
 
 
 def replay_violation(v: ConjectureViolation) -> bool:
@@ -327,12 +329,12 @@ def search(
     up to max_n vertices, smallest vertex count first; `TooSmall` when
     max_n is below the conjecture's smallest checkable n (4 for C44).
 
-    With jobs > 1 the checks run in a process pool; the graphs are still
-    enumerated here and the results are read back in order, so the report
-    is the same for every `jobs`.  jobs == 1 runs in-process, no pool.
+    The checks run in a pool of min(jobs, `os.cpu_count()`) processes; the
+    graphs are still enumerated here and the results read back in order,
+    so the report is the same for every `jobs`.  One runs in-process.
     """
     if conjecture_id not in _CONJECTURES:
-        raise ParseError(f"unknown conjecture id {conjecture_id!r}; use C42 or C44")
+        raise ParseError(f"unknown conjecture id {excerpt(conjecture_id)}; use C42 or C44")
     if not 3 <= max_n <= HARD_CAP:
         raise TooLarge(f"search needs 3 <= max_n <= {HARD_CAP}, got {max_n}")
     min_n = _CONJECTURES[conjecture_id]
@@ -342,6 +344,7 @@ def search(
         raise TooSmall(f"search needs jobs >= 1, got {jobs}")
     if max_violations < 1:
         raise TooSmall(f"search needs max_violations >= 1, got {max_violations}")
+    jobs = min(jobs, os.cpu_count() or 1)
     graphs = (
         g
         for n in range(min_n, max_n + 1)
@@ -353,5 +356,7 @@ def search(
     import multiprocessing  # only a pooled search pays for loading it
 
     with multiprocessing.Pool(jobs) as pool:
-        per_graph = pool.imap(check, graphs, chunksize=16)
+        # Few large chunks: each result wakes two threads of this process that
+        # take the GIL from the generator, which runs in the pool's feeder thread.
+        per_graph = pool.imap(check, graphs, chunksize=256)
         return assemble_report(conjecture_id, max_n, per_graph, max_violations)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import ast
+import io
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -408,6 +410,52 @@ def test_unhashable_vertex_label_is_a_parse_error(tmp_path, capsys):
         code, out, _ = run(capsys, *argv)
         assert code == 2, argv
         assert json.loads(out)["error"] == "ParseError"
+
+
+def test_unreadable_input_is_a_typed_error(tmp_path, capsys, monkeypatch):
+    """Non-UTF-8 bytes in a file or on stdin, and a directory given as the
+    input, used to end in a traceback with the domain-negative exit 1."""
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{\x00}\x00")
+    cases = [(("validate", str(utf16)), "ParseError"),
+             (("check", "--mb", str(utf16)), "ParseError"),
+             (("validate", str(tmp_path)), "IsADirectoryError"),
+             (("distances", str(tmp_path)), "IsADirectoryError"),
+             (("validate", "-"), "ParseError")]
+    for argv, error in cases:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), encoding="utf-8"))
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out)["error"] == error, argv
+        assert "Traceback" not in err, argv
+
+
+def test_unwritable_artifact_is_a_typed_error(tmp_path, capsys):
+    metric = write(tmp_path, "e.json", EGYPTIAN_JSON)
+    for target, error in ((str(tmp_path), "IsADirectoryError"),
+                          (str(tmp_path / "e.json" / "out.json"), "NotADirectoryError")):
+        for flag in ("--out", "--map"):
+            code, out, _ = run(capsys, "embed", metric, flag, target)
+            assert code == 2, (flag, target)
+            assert json.loads(out)["error"] == error, (flag, target)
+
+
+def test_error_messages_cap_echoed_input(tmp_path, capsys):
+    """A 200 000-element list as a point label, a distance entry or an edge,
+    and a 200 000-token header or size token, used to be echoed whole."""
+    big = list(range(200_000))
+    label = write(tmp_path, "label.json", json.dumps({"points": [big, "b"], "distances": [[0, 1], [1, 0]]}))
+    entry = write(tmp_path, "entry.json", json.dumps({"points": ["a", "b"], "distances": [[0, big], [1, 0]]}))
+    edge = write(tmp_path, "edge.json", json.dumps({"vertices": ["a", "b"], "edges": [big]}))
+    header = write(tmp_path, "header.txt", "1 " * 200_000)
+    size = write(tmp_path, "size.txt", "x" * 200_000)
+    for argv in (("validate", label), ("check", "--mb", label), ("validate", entry),
+                 ("distances", edge), ("check", "--mb", edge),
+                 ("distances", "--format", "text", header), ("validate", "--format", "text", size)):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out)["error"] == "ParseError", argv
+        assert len(out.encode()) < 1024, argv
 
 
 def test_json_dumps_is_called_only_by_the_encoder():

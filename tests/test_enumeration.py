@@ -7,6 +7,7 @@ import random
 import pytest
 
 from metricgraph import Graph, TooLarge, canonical_form, cycle_graph, enumerate_connected_graphs, path_graph
+from metricgraph import enumeration
 from metricgraph.enumeration import _columns, _encode, _pair_positions, _search, graph_from_mask, mask_from_graph
 
 import oracles
@@ -117,7 +118,27 @@ def test_enumeration_against_orbit_oracle():
 
 
 def test_enumeration_count_n8():
-    assert sum(1 for _ in enumerate_connected_graphs(8)) == KNOWN_COUNTS[8]
+    """A001349 at n = 8, each class's mask strictly above the one before."""
+    masks = [mask_from_graph(g) for g in enumerate_connected_graphs(8)]
+    assert len(masks) == KNOWN_COUNTS[8]
+    assert all(a < b for a, b in zip(masks, masks[1:]))
+
+
+def test_enumeration_streams_the_first_class(monkeypatch):
+    """The first n = 8 class comes out after the minimality tests on one
+    root-to-leaf path and its siblings, not after all 19 835 of the level."""
+    calls = 0
+    search = enumeration._search
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "_search", counting)
+    first = next(enumerate_connected_graphs(8))
+    assert 0 < calls < 1000
+    assert first.edges() == [(i, 7) for i in range(7)]  # the star: the least connected mask
 
 
 def test_enumeration_matches_networkx_atlas():

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import multiprocessing
+import os
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -488,6 +489,30 @@ def test_search_jobs_one_runs_in_process(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     assert search("C44", 5, jobs=1).graphs_checked == 27
+
+
+def test_search_pool_is_at_most_one_worker_per_cpu(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    expected = search("C44", 6).to_json()
+    for jobs in (2, 3, 4, 1_000_000):
+        assert search("C44", 6, jobs=jobs).to_json() == expected
+    assert sizes == [2, 3, 3, 3]
 
 
 def test_assemble_report_caps_violations():
