@@ -341,7 +341,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        except MemoryError as exc:  # an input too large to hold or parse
+            raise TooLarge("out of memory on this input") from exc
     except MetricViolation as exc:
         _emit({"error": "metric_violation", "kind": exc.kind,
                "witness": list(exc.witness), "message": str(exc)})

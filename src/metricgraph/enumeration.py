@@ -19,10 +19,18 @@ representative is therefore exactly the graph whose bitmask equals its own
 canonical form.  The tree is walked in mask order and no level is held:
 on a shared 2-core VM, n = 9 (261 080 classes) takes 2-2.5 minutes, yields
 its first class within 2 s and peaks at 16 MB RSS; n = 8 takes seconds.
+
+A sweep over several n runs as shards (`split_trees`): subtrees of the
+trees, cut where one heap over all n says the pending subtree is widest.
+A node whose lowest zero bit is L has its subtree in a window of 2^L
+masks, so that node is expanded next.  The expanded nodes are single
+classes, walked as one more shard, and any shard is walked on its own by
+`enumerate_connected_graphs(n, root)`.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterator
 
 from .errors import TooLarge
@@ -155,7 +163,30 @@ def _is_connected(n: int, nbr: list[int]) -> bool:
     return reach == (1 << n) - 1
 
 
-def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
+def _lowest_zero(mask: int) -> int:
+    return (~mask & (mask + 1)).bit_length() - 1
+
+
+def _root(n: int) -> tuple[int, list[int]]:
+    """K_n as a tree node: its mask and its rows as neighbour bitmasks."""
+    full = (1 << n) - 1
+    return (1 << n * (n - 1) // 2) - 1, [full ^ (1 << v) for v in range(n)]
+
+
+def _children(n: int, pairs: list[tuple[int, int]], mask: int, nbr: list[int]) -> Iterator[tuple[int, list[int]]]:
+    """The kept children of the node (mask, nbr), largest first."""
+    nbits = len(pairs)
+    for sig in range(_lowest_zero(mask)):
+        i, j = pairs[nbits - 1 - sig]
+        child_nbr = list(nbr)
+        child_nbr[i] ^= 1 << j
+        child_nbr[j] ^= 1 << i
+        child = mask ^ (1 << sig)
+        if _is_connected(n, child_nbr) and not _search(n, child_nbr, _columns(n, child), stop=True):
+            yield child, child_nbr
+
+
+def enumerate_connected_graphs(n: int, root: tuple[int, list[int] | None] | None = None) -> Iterator[Graph]:
     """One representative per isomorphism class of connected graphs on n
     vertices, in increasing bitmask order; each one's bitmask is its canonical form.
 
@@ -169,25 +200,45 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     order: the child C_a of a node P clears bit a, below P's lowest zero
     bit; C_a's subtree only clears bits below a, so it lies in
     (C_a - 2^a, C_a], below the subtree of every C_b with b < a and below P.
+
+    `root`, a node (mask, nbr) from `split_trees`, walks only its subtree;
+    with nbr None, only that one class is yielded.
     """
     if n < 1 or n > HARD_CAP:
         raise TooLarge(f"enumeration supports 1 <= n <= {HARD_CAP}, got {n}")
-    nbits = n * (n - 1) // 2
     pairs = _pair_positions(n)
-    full = (1 << n) - 1
-    stack: list[tuple[int, list[int] | None]] = [((1 << nbits) - 1, [full ^ (1 << v) for v in range(n)])]
+    stack: list[tuple[int, list[int] | None]] = [_root(n) if root is None else root]
     while stack:
         mask, nbr = stack.pop()
         if nbr is None:
             yield graph_from_mask(n, mask)
             continue
         stack.append((mask, None))
-        lowest_zero = (~mask & (mask + 1)).bit_length() - 1
-        for sig in range(lowest_zero):  # the highest sig, the smallest child, is popped first
-            i, j = pairs[nbits - 1 - sig]
-            child_nbr = list(nbr)
-            child_nbr[i] ^= 1 << j
-            child_nbr[j] ^= 1 << i
-            child = mask ^ (1 << sig)
-            if _is_connected(n, child_nbr) and not _search(n, child_nbr, _columns(n, child), stop=True):
-                stack.append((child, child_nbr))
+        stack.extend(_children(n, pairs, mask, nbr))  # the smallest child is popped first
+
+
+Shard = list[tuple[int, int, list[int] | None]]
+
+
+def split_trees(min_n: int, max_n: int, count: int) -> list[Shard]:
+    """The trees for n = min_n..max_n cut into at least `count` subtrees
+    (fewer only once every node is expanded), as shards of roots (n, mask, nbr).
+
+    One heap over all n holds the pending subtree roots.  The node popped
+    and expanded is the one whose lowest zero bit L is highest, since its
+    subtree lies in a window of 2^L masks, the widest.  The subtrees come
+    one per shard, widest first; the expanded nodes follow as one shard of
+    single classes (n, mask, None) in (n, mask) order.
+    """
+    heap = []
+    for n in range(min_n, max_n + 1):
+        mask, nbr = _root(n)
+        heapq.heappush(heap, (-_lowest_zero(mask), n, mask, nbr))
+    singles: Shard = []
+    while heap and len(heap) < count:
+        _, n, mask, nbr = heapq.heappop(heap)
+        singles.append((n, mask, None))
+        for child, child_nbr in _children(n, _pair_positions(n), mask, nbr):
+            heapq.heappush(heap, (-_lowest_zero(child), n, child, child_nbr))
+    shards = [[(n, mask, nbr)] for _, n, mask, nbr in sorted(heap)]
+    return shards + [sorted(singles)] if singles else shards

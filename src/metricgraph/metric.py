@@ -373,7 +373,8 @@ def parse_metric(text: str, format: str = "json") -> MetricSpace:
             raise ParseError(f"size must be >= 1, got {excerpt(n)}")
         values = tokens[1:]
         if len(values) != n * n:
-            raise ParseError(f"expected {n * n} entries, got {len(values)}")
+            # n * n itself may pass the 4300-digit limit of int-to-str
+            raise ParseError(f"size {excerpt(n)} needs size * size entries, got {len(values)}")
         labels = [f"p{i}" for i in range(n)]
         rows = [values[i * n : (i + 1) * n] for i in range(n)]
         return MetricSpace.from_rows(labels, rows)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .enumeration import HARD_CAP, enumerate_connected_graphs
+from .enumeration import HARD_CAP, Shard, enumerate_connected_graphs, mask_from_graph, split_trees
 from .errors import (
     EmptyGraph,
     InternalVerificationFailure,
@@ -258,6 +258,7 @@ def check_conjecture_44(g: Graph) -> list[ConjectureViolation]:
 # ---------------------------------------------------------------------------
 
 _CONJECTURES = {"C42": 3, "C44": 4}  # conjecture id -> smallest checkable n
+Keyed = tuple[tuple[int, int], ConjectureViolation]  # a violation and its graph's (n, mask)
 
 
 @dataclass(frozen=True)
@@ -287,7 +288,7 @@ class ConjectureReport:
 
 
 def check_graph(conjecture_id: str, g: Graph) -> list[ConjectureViolation]:
-    """Per-graph work item of `search`, run in-process or in a pool worker."""
+    """The check that `search` runs on every class."""
     if conjecture_id == "C42":
         v = check_conjecture_42(g)
         return [] if v is None else [v]
@@ -303,20 +304,37 @@ def replay_violation(v: ConjectureViolation) -> bool:
     return v.conjecture_id in _CONJECTURES and v in check_graph(v.conjecture_id, v.graph)
 
 
+def _check_shard(conjecture_id: str, max_violations: int, shard: Shard) -> tuple[int, list[Keyed]]:
+    """Per-shard work item of `search`: walk the shard's roots, check every
+    class, and return the class count and the first max_violations
+    violations, each keyed by its graph's (n, mask)."""
+    classes = 0
+    kept: list[Keyed] = []
+    for n, mask, nbr in shard:
+        for g in enumerate_connected_graphs(n, (mask, nbr)):
+            classes += 1
+            violations = check_graph(conjecture_id, g)
+            if violations:
+                key = (n, mask_from_graph(g))
+                kept += [(key, v) for v in violations[: max_violations - len(kept)]]
+    return classes, kept
+
+
 def assemble_report(
     conjecture_id: str,
     max_n: int,
-    per_graph: Iterable[list[ConjectureViolation]],
+    per_shard: Iterable[tuple[int, list[Keyed]]],
     max_violations: int,
 ) -> ConjectureReport:
+    """Sum the shards' class counts and keep the first max_violations of
+    their violations in (n, mask) order, whatever order the shards came in."""
     checked = 0
-    kept: list[ConjectureViolation] = []
-    for violations in per_graph:
-        checked += 1
-        for v in violations:
-            if len(kept) < max_violations:
-                kept.append(v)
-    return ConjectureReport(conjecture_id, max_n, checked, tuple(kept))
+    keyed: list[Keyed] = []
+    for classes, kept in per_shard:
+        checked += classes
+        keyed += kept
+    keyed.sort(key=lambda kv: kv[0])  # stable: one graph's violations keep their order
+    return ConjectureReport(conjecture_id, max_n, checked, tuple(v for _, v in keyed[:max_violations]))
 
 
 def search(
@@ -329,9 +347,12 @@ def search(
     up to max_n vertices, smallest vertex count first; `TooSmall` when
     max_n is below the conjecture's smallest checkable n (4 for C44).
 
-    The checks run in a pool of min(jobs, `os.cpu_count()`) processes; the
-    graphs are still enumerated here and the results read back in order,
-    so the report is the same for every `jobs`.  One runs in-process.
+    Read's trees are split into at least 32 shards per job
+    (`split_trees`), and each shard is walked and checked where it runs:
+    in-process for jobs = 1, else in a pool of min(jobs, `os.cpu_count()`)
+    processes, widest shards first, results taken as they finish.  The
+    violations are merged in (n, mask) order, so the report is the same
+    for every `jobs`.
     """
     if conjecture_id not in _CONJECTURES:
         raise ParseError(f"unknown conjecture id {excerpt(conjecture_id)}; use C42 or C44")
@@ -345,18 +366,18 @@ def search(
     if max_violations < 1:
         raise TooSmall(f"search needs max_violations >= 1, got {max_violations}")
     jobs = min(jobs, os.cpu_count() or 1)
-    graphs = (
-        g
-        for n in range(min_n, max_n + 1)
-        for g in enumerate_connected_graphs(n)
-    )
-    check = functools.partial(check_graph, conjecture_id)
+    shards = split_trees(min_n, max_n, 32 * jobs)
+    check = functools.partial(_check_shard, conjecture_id, max_violations)
     if jobs == 1:
-        return assemble_report(conjecture_id, max_n, map(check, graphs), max_violations)
+        return assemble_report(conjecture_id, max_n, map(check, shards), max_violations)
+    import gc
     import multiprocessing  # only a pooled search pays for loading it
 
-    with multiprocessing.Pool(jobs) as pool:
-        # Few large chunks: each result wakes two threads of this process that
-        # take the GIL from the generator, which runs in the pool's feeder thread.
-        per_graph = pool.imap(check, graphs, chunksize=256)
-        return assemble_report(conjecture_id, max_n, per_graph, max_violations)
+    # Frozen objects are skipped by the workers' collector, which would
+    # otherwise write to, and so copy, every page of the forked heap.
+    gc.freeze()
+    try:
+        with multiprocessing.Pool(jobs) as pool:
+            return assemble_report(conjecture_id, max_n, pool.imap_unordered(check, shards), max_violations)
+    finally:
+        gc.unfreeze()

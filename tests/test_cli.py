@@ -390,6 +390,34 @@ def test_deeply_nested_json_is_a_typed_error(tmp_path, capsys):
         assert "Traceback" not in err, argv
 
 
+def test_matrix_size_past_the_digit_limit_squared_is_a_parse_error(tmp_path, capsys):
+    """A 4000-digit size token parses, but its square has about 8000 digits,
+    past Python's int-to-str limit: the entry-count message used to print
+    it and end in a ValueError traceback with exit 1."""
+    path = write(tmp_path, "huge.txt", "9" * 4000 + " 0")
+    code, out, err = run(capsys, "validate", "--format", "text", path)
+    assert code == 2
+    assert json.loads(out)["error"] == "ParseError"
+    assert len(out.encode()) < 1024
+    assert "Traceback" not in err
+
+
+def test_out_of_memory_on_input_is_too_large(tmp_path, capsys, monkeypatch):
+    """A MemoryError while loading or parsing is one typed error document."""
+    import metricgraph.cli as cli
+
+    def exhausted(path):
+        raise MemoryError
+
+    metric = write(tmp_path, "e.json", EGYPTIAN_JSON)
+    monkeypatch.setattr(cli, "_read_input", exhausted)
+    for argv in (("validate", metric), ("distances", metric), ("check", "--mb", metric)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out) == {"error": "TooLarge", "message": "out of memory on this input"}, argv
+        assert "Traceback" not in err, argv
+
+
 def test_check_json_array_is_not_read_as_a_matrix(tmp_path, capsys):
     path = write(tmp_path, "arr.json", "[" + EGYPTIAN_JSON + "]")
     code, out, _ = run(capsys, "check", "--mb", path)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
 
 from metricgraph import Graph, TooLarge, canonical_form, cycle_graph, enumerate_connected_graphs, path_graph
 from metricgraph import enumeration
-from metricgraph.enumeration import _columns, _encode, _pair_positions, _search, graph_from_mask, mask_from_graph
+from metricgraph.enumeration import (
+    _columns, _encode, _pair_positions, _search, graph_from_mask, mask_from_graph, split_trees,
+)
 
 import oracles
 import randgen
@@ -16,6 +19,12 @@ import randgen
 # Connected graphs up to isomorphism, n = 1..8 (OEIS A001349; checked
 # against the independent permutation-orbit oracle below for n <= 6).
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+
+
+@functools.cache
+def stream_masks(n: int) -> tuple[int, ...]:
+    """The masks of the whole walk for n, computed once per test session."""
+    return tuple(mask_from_graph(g) for g in enumerate_connected_graphs(n))
 
 
 def relabeled(g: Graph, rng: random.Random) -> Graph:
@@ -119,7 +128,7 @@ def test_enumeration_against_orbit_oracle():
 
 def test_enumeration_count_n8():
     """A001349 at n = 8, each class's mask strictly above the one before."""
-    masks = [mask_from_graph(g) for g in enumerate_connected_graphs(8)]
+    masks = stream_masks(8)
     assert len(masks) == KNOWN_COUNTS[8]
     assert all(a < b for a, b in zip(masks, masks[1:]))
 
@@ -139,6 +148,25 @@ def test_enumeration_streams_the_first_class(monkeypatch):
     first = next(enumerate_connected_graphs(8))
     assert 0 < calls < 1000
     assert first.edges() == [(i, 7) for i in range(7)]  # the star: the least connected mask
+
+
+@pytest.mark.parametrize("min_n, max_n, count", [(1, 8, 64), (1, 6, 2), (5, 5, 1000)])
+def test_shards_cover_each_tree_once(min_n, max_n, count):
+    """Walked shard by shard, each n's classes sorted by mask are the
+    whole walk's stream, with no mask twice; a subtree comes out in mask
+    order, and the single classes in (n, mask) order."""
+    shards = split_trees(min_n, max_n, count)
+    masks: dict[int, list[int]] = {n: [] for n in range(min_n, max_n + 1)}
+    for shard in shards:
+        walked = [(n, mask_from_graph(g)) for n, mask, nbr in shard
+                  for g in enumerate_connected_graphs(n, (mask, nbr))]
+        assert walked == sorted(set(walked))
+        for n, mask in walked:
+            masks[n].append(mask)
+    for n, found in masks.items():
+        assert tuple(sorted(found)) == stream_masks(n), n
+    subtrees = [shard for shard in shards if shard[0][2] is not None]
+    assert len(subtrees) >= count or len(subtrees) == 0
 
 
 def test_enumeration_matches_networkx_atlas():

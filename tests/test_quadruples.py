@@ -38,6 +38,7 @@ from metricgraph import (
     replay_violation,
     search,
 )
+from metricgraph import quadruples
 from metricgraph.quadruples import assemble_report, ConjectureViolation, four_subset_status
 
 import oracles
@@ -493,6 +494,7 @@ def test_search_jobs_one_runs_in_process(monkeypatch):
 
 def test_search_pool_is_at_most_one_worker_per_cpu(monkeypatch):
     sizes = []
+    kept_per_shard = []
 
     class InProcessPool:
         def __init__(self, processes):
@@ -504,8 +506,10 @@ def test_search_pool_is_at_most_one_worker_per_cpu(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, fn, items, chunksize=1):
-            return map(fn, items)
+        def imap_unordered(self, fn, items):
+            results = [fn(item) for item in items]
+            kept_per_shard.extend(len(kept) for _, kept in results)
+            return reversed(results)  # the last shard done first
 
     monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -513,11 +517,36 @@ def test_search_pool_is_at_most_one_worker_per_cpu(monkeypatch):
     for jobs in (2, 3, 4, 1_000_000):
         assert search("C44", 6, jobs=jobs).to_json() == expected
     assert sizes == [2, 3, 3, 3]
+    # With two violations on every class, the merge must restore (n, mask)
+    # order, and keep one graph's violations in their own order.
+    monkeypatch.setattr(quadruples, "check_graph",
+                        lambda cid, g: [ConjectureViolation(cid, g, (w,), "flagged") for w in "ab"])
+    classes = itertools.islice((g for n in (4, 5, 6) for g in enumerate_connected_graphs(n)), 20)
+    first = [(g, (w,)) for g in classes for w in "ab"]
+    for jobs in (1, 3):
+        report = search("C44", 6, max_violations=40, jobs=jobs)
+        assert [(v.graph, v.witness) for v in report.violations] == first
+    kept_per_shard.clear()
+    report = search("C44", 6, max_violations=3, jobs=3)
+    assert [(v.graph, v.witness) for v in report.violations] == first[:3]
+    assert max(kept_per_shard) == 3  # a shard sends back no more than the report can use
+
+
+def test_pooled_search_matches_in_process_at_n8():
+    """A real pool, shards done in any order: each capped report is the
+    first k violations of the uncapped in-process one, byte for byte."""
+    full = search("C44", 8, max_violations=100)
+    assert len(full.violations) == 2
+    for k in (1, 2, 100):
+        capped = replace(full, violations=full.violations[:k])
+        assert search("C44", 8, max_violations=k, jobs=2).to_json() == capped.to_json()
 
 
 def test_assemble_report_caps_violations():
     grab = ConjectureViolation("C44", cycle_graph(8), ("v0", "v2", "v4", "v6"), "ii_implies_i")
-    per_graph = [[grab], [grab, grab], []]
-    report = assemble_report("C44", 8, per_graph, max_violations=2)
+    other = replace(grab, witness=("v1", "v3", "v5", "v7"))
+    per_shard = [(1, [((8, 5), grab)]), (2, [((8, 3), other), ((8, 3), grab)]), (0, [])]
+    report = assemble_report("C44", 8, per_shard, max_violations=2)
     assert report.graphs_checked == 3
     assert len(report.violations) == 2
+    assert report.violations == (other, grab)  # (n, mask) order; one graph's own order kept
