@@ -47,7 +47,7 @@ from .graph import (
     path_graph,
     shortest_path,
 )
-from .enumeration import canonical_form, enumerate_connected_graphs
+from .enumeration import canonical_form, enumerate_connected_graphs, graph_from_mask
 from .realization import (
     RealizationResult,
     ceil_embed,
@@ -82,7 +82,7 @@ __all__ = [
     "Graph", "ShapeClass", "parse_graph", "dump_graph", "geodesic_distances",
     "geodesic_metric", "is_connected", "induced_subgraph", "classify_shape",
     "shortest_path", "path_graph", "cycle_graph",
-    "canonical_form", "enumerate_connected_graphs",
+    "canonical_form", "enumerate_connected_graphs", "graph_from_mask",
     "RealizationResult", "realize", "embed", "ceil_embed", "verify_map",
     "mb_check", "line_embed", "PLQ", "plq_classify", "quad_inequality",
     "check_conjecture_42", "check_conjecture_44", "search",

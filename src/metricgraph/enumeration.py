@@ -16,16 +16,19 @@ a winner", Ann. Discrete Math. 2, 1978) over orbit-minimal bitmasks: each
 class is reached once, at the one mask that is minimal in its orbit, and
 no table of labeled masks or permutations is built.  Each emitted
 representative is therefore exactly the graph whose bitmask equals its own
-canonical form.  The tree is walked in mask order and no level is held:
-on a shared 2-core VM, n = 9 (261 080 classes) takes 2-2.5 minutes, yields
-its first class within 2 s and peaks at 16 MB RSS; n = 8 takes seconds.
+canonical form.  The walker yields tree nodes (mask, nbr), the mask and
+the rows as neighbour bitmasks; `graph_from_mask(n, mask)` builds the
+`Graph` of a node when one is wanted.  The tree is walked in mask order
+and no level is held: on a shared 2-core VM, n = 9 (261 080 classes)
+takes 2-2.5 minutes, yields its first class within 2 s and peaks at
+16 MB RSS; n = 8 takes seconds.
 
 A sweep over several n runs as shards (`split_trees`): subtrees of the
 trees, cut where one heap over all n says the pending subtree is widest.
 A node whose lowest zero bit is L has its subtree in a window of 2^L
 masks, so that node is expanded next.  The expanded nodes are single
-classes, walked as one more shard, and any shard is walked on its own by
-`enumerate_connected_graphs(n, root)`.
+classes, kept with their neighbour bitmasks and walked as one more shard,
+and any shard is walked on its own by `enumerate_connected_graphs(n, root)`.
 """
 
 from __future__ import annotations
@@ -186,9 +189,11 @@ def _children(n: int, pairs: list[tuple[int, int]], mask: int, nbr: list[int]) -
             yield child, child_nbr
 
 
-def enumerate_connected_graphs(n: int, root: tuple[int, list[int] | None] | None = None) -> Iterator[Graph]:
-    """One representative per isomorphism class of connected graphs on n
-    vertices, in increasing bitmask order; each one's bitmask is its canonical form.
+def enumerate_connected_graphs(n: int, root: tuple[int, list[int], bool] | None = None) -> Iterator[tuple[int, list[int]]]:
+    """One node (mask, nbr) per isomorphism class of connected graphs on n
+    vertices, in increasing mask order: the class's bitmask, which is its
+    canonical form, and its rows as neighbour bitmasks (`graph_from_mask`
+    gives its `Graph`).
 
     Setting the lowest-significance zero bit of an orbit-minimal mask gives
     another one, so these masks form a tree rooted at K_n.  A node's
@@ -201,34 +206,36 @@ def enumerate_connected_graphs(n: int, root: tuple[int, list[int] | None] | None
     bit; C_a's subtree only clears bits below a, so it lies in
     (C_a - 2^a, C_a], below the subtree of every C_b with b < a and below P.
 
-    `root`, a node (mask, nbr) from `split_trees`, walks only its subtree;
-    with nbr None, only that one class is yielded.
+    `root`, a node (mask, nbr, subtree) from `split_trees`, walks only its
+    subtree; with subtree False, only that one class is yielded.
     """
     if n < 1 or n > HARD_CAP:
         raise TooLarge(f"enumeration supports 1 <= n <= {HARD_CAP}, got {n}")
     pairs = _pair_positions(n)
-    stack: list[tuple[int, list[int] | None]] = [_root(n) if root is None else root]
+    stack = [(*_root(n), True) if root is None else root]
     while stack:
-        mask, nbr = stack.pop()
-        if nbr is None:
-            yield graph_from_mask(n, mask)
+        mask, nbr, subtree = stack.pop()
+        if not subtree:
+            yield mask, nbr
             continue
-        stack.append((mask, None))
-        stack.extend(_children(n, pairs, mask, nbr))  # the smallest child is popped first
+        stack.append((mask, nbr, False))
+        # the smallest child is popped first
+        stack.extend((child, child_nbr, True) for child, child_nbr in _children(n, pairs, mask, nbr))
 
 
-Shard = list[tuple[int, int, list[int] | None]]
+Shard = list[tuple[int, tuple[int, list[int], bool]]]
 
 
 def split_trees(min_n: int, max_n: int, count: int) -> list[Shard]:
     """The trees for n = min_n..max_n cut into at least `count` subtrees
-    (fewer only once every node is expanded), as shards of roots (n, mask, nbr).
+    (fewer only once every node is expanded), as shards of (n, root), each
+    root a node (mask, nbr, subtree) for `enumerate_connected_graphs`.
 
     One heap over all n holds the pending subtree roots.  The node popped
     and expanded is the one whose lowest zero bit L is highest, since its
     subtree lies in a window of 2^L masks, the widest.  The subtrees come
     one per shard, widest first; the expanded nodes follow as one shard of
-    single classes (n, mask, None) in (n, mask) order.
+    single classes (subtree False) in (n, mask) order.
     """
     heap = []
     for n in range(min_n, max_n + 1):
@@ -237,8 +244,8 @@ def split_trees(min_n: int, max_n: int, count: int) -> list[Shard]:
     singles: Shard = []
     while heap and len(heap) < count:
         _, n, mask, nbr = heapq.heappop(heap)
-        singles.append((n, mask, None))
+        singles.append((n, (mask, nbr, False)))
         for child, child_nbr in _children(n, _pair_positions(n), mask, nbr):
             heapq.heappush(heap, (-_lowest_zero(child), n, child, child_nbr))
-    shards = [[(n, mask, nbr)] for _, n, mask, nbr in sorted(heap)]
+    shards = [[(n, (mask, nbr, True))] for _, n, mask, nbr in sorted(heap)]
     return shards + [sorted(singles)] if singles else shards

@@ -151,8 +151,9 @@ def is_connected(g: Graph) -> bool:
 
 def connected_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
     """BFS rows of a connected graph, a metric by construction (Kay and
-    Chartrand, 1964), so the sweep checkers read them unvalidated; the
-    tests validate them for every connected class with n <= 7.  Raises
+    Chartrand, 1964); the tests validate them for every connected class
+    with n <= 7, and check the sweep kernels' bit-parallel rows against
+    them.  Raises
     `Disconnected` when vertex 0's row leaves a vertex unreached, before
     any other BFS runs."""
     first = _bfs_from(g, 0)

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .enumeration import HARD_CAP, Shard, enumerate_connected_graphs, mask_from_graph, split_trees
+from .enumeration import HARD_CAP, Shard, _is_connected, enumerate_connected_graphs, graph_from_mask, split_trees
 from .errors import (
+    Disconnected,
     EmptyGraph,
     InternalVerificationFailure,
     ParseError,
@@ -33,7 +34,7 @@ from .errors import (
     WrongArity,
     excerpt,
 )
-from .graph import Graph, classify_shape, connected_distances, graph_doc
+from .graph import Graph, graph_doc
 from .metric import MetricSpace, Rational, json_text
 
 
@@ -170,8 +171,114 @@ def quad_inequality(m: MetricSpace, ordering: Iterable[str]) -> QuadInequality:
 
 
 # ---------------------------------------------------------------------------
+# Conjecture kernels, on a connected graph's rows as neighbour bitmasks
+# ---------------------------------------------------------------------------
+
+def _distance_rows(n: int, nbr: list[int]) -> list[list[int]]:
+    """BFS rows of the connected graph whose vertex v has neighbour bitmask
+    nbr[v], one whole level at a time: the next level is the union of the
+    frontier's neighbours, less the vertices already seen.  These are the
+    rows of `connected_distances`, a metric by construction (Kay and
+    Chartrand, 1964), so the kernels read them unvalidated."""
+    rows = []
+    for src in range(n):
+        row = [0] * n
+        seen = frontier = 1 << src
+        level = 0
+        while frontier:
+            level += 1
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= nbr[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~seen
+            seen |= frontier
+            new = frontier
+            while new:
+                low = new & -new
+                row[low.bit_length() - 1] = level
+                new ^= low
+        rows.append(row)
+    return rows
+
+
+def _diameter_below_4(n: int, nbr: list[int]) -> bool:
+    """Whether every ball of radius 3 is the whole vertex set.  The ball of
+    radius 2 around v is v, its neighbours and theirs; the one of radius 3
+    is the union of the radius-2 balls around v and its neighbours."""
+    full = (1 << n) - 1
+    ball2 = []
+    for v, x in enumerate(nbr):
+        ball = x | 1 << v
+        while x:
+            low = x & -x
+            ball |= nbr[low.bit_length() - 1]
+            x ^= low
+        ball2.append(ball)
+    for v, x in enumerate(nbr):
+        ball = ball2[v]
+        while x and ball != full:
+            low = x & -x
+            ball |= ball2[low.bit_length() - 1]
+            x ^= low
+        if ball != full:
+            return False
+    return True
+
+
+def _shape_in_conjecture(n: int, nbr: list[int]) -> bool:
+    """Whether the connected graph is a path or C4.  With degrees at most 2
+    it is a path or a cycle: a path when it has n - 1 edges, and either
+    way one of the two shapes when n = 4."""
+    degrees = [x.bit_count() for x in nbr]
+    return max(degrees) <= 2 and (sum(degrees) == 2 * (n - 1) or n == 4)
+
+
+def _c42_witnesses(n: int, nbr: list[int]) -> list[tuple[()]]:
+    """[()] when the class violates C42 (see `check_conjecture_42`), else []."""
+    for i in range(n):
+        x = nbr[i]
+        above = x >> i + 1 << i + 1
+        while above:
+            low = above & -above
+            if x & nbr[low.bit_length() - 1]:  # the edge (i, j) is in a triangle
+                return []
+            above ^= low
+    if _shape_in_conjecture(n, nbr) or _mb_violation(_distance_rows(n, nbr)) is not None:
+        return []
+    return [()]
+
+
+def _c44_witnesses(n: int, nbr: list[int]) -> list[tuple[int, int, int, int]]:
+    """The index 4-sets where C44 fails (see `check_conjecture_44`), in
+    `itertools.combinations` order."""
+    if _diameter_below_4(n, nbr):
+        return []
+    d = _distance_rows(n, nbr)
+    quads = set()
+    for a, c in itertools.combinations(range(n), 2):
+        s, odd = divmod(d[a][c], 2)
+        if s >= 2 and not odd:
+            midpoints = [b for b in range(n) if d[a][b] == s == d[c][b]]
+            pairs = itertools.combinations(midpoints, 2)
+            quads.update(tuple(sorted((a, b, c, e))) for b, e in pairs if d[b][e] == 2 * s)
+    return sorted(quads)
+
+
+def _witnesses(conjecture_id: str, n: int, nbr: list[int]) -> list[tuple[int, ...]]:
+    """The kernel that `search` runs on every class: the index witnesses of
+    the class's violations, in report order."""
+    return _c42_witnesses(n, nbr) if conjecture_id == "C42" else _c44_witnesses(n, nbr)
+
+
+# ---------------------------------------------------------------------------
 # Conjecture checkers
 # ---------------------------------------------------------------------------
+
+# conjecture id -> (smallest checkable n, the one direction that can fail)
+_CONJECTURES = {"C42": (3, "mb_implies_shape"), "C44": (4, "ii_implies_i")}
+
 
 @dataclass(frozen=True)
 class ConjectureViolation:
@@ -181,9 +288,19 @@ class ConjectureViolation:
     direction: str
 
 
-def _shape_in_conjecture(g: Graph) -> bool:
-    shape = classify_shape(g)
-    return shape.is_path or (shape.is_cycle and shape.size == 4)
+def _violations(conjecture_id: str, g: Graph, witnesses: list[tuple[int, ...]]) -> list[ConjectureViolation]:
+    labels = g.vertex_labels
+    direction = _CONJECTURES[conjecture_id][1]
+    return [ConjectureViolation(conjecture_id, g, tuple(labels[i] for i in w), direction)
+            for w in witnesses]
+
+
+def _connected_nbr(g: Graph) -> list[int]:
+    """g's rows as neighbour bitmasks; `Disconnected` unless g is connected."""
+    nbr = [sum(1 << j for j in row) for row in g.adjacency]
+    if not _is_connected(g.n, nbr):
+        raise Disconnected("geodesic metric requires a connected graph")
+    return nbr
 
 
 def check_conjecture_42(g: Graph) -> ConjectureViolation | None:
@@ -194,15 +311,20 @@ def check_conjecture_42(g: Graph) -> ConjectureViolation | None:
     just {path, C4}, and both are in the class: a path's metric is a line
     metric, and in C4 the only qualifying triples have x, z opposite,
     where 2 = 1 + 1.  So only `mb_implies_shape` can occur (empty
-    witness).  Reads the unvalidated BFS rows of `connected_distances`,
-    which raises `Disconnected`.
+    witness).
+
+    Triangle lemma: a triangle x, y, z is itself a violation of the class,
+    as d(x,z) = 1 >= max(d(x,y), d(y,z)) but 1 != 1 + 1, and a path or C4
+    has no triangle.  So a graph with a triangle (an edge whose ends share
+    a neighbour) is consistent, paths and C4 are consistent, and only the
+    other triangle-free graphs pay for the BFS rows and the triple scan.
+    Raises `Disconnected`, then `EmptyGraph`.
     """
-    d = connected_distances(g)
+    nbr = _connected_nbr(g)
     if g.edge_count() == 0:
         raise EmptyGraph("conjecture applies to graphs with at least one edge")
-    if _shape_in_conjecture(g) or _mb_violation(d) is not None:
-        return None
-    return ConjectureViolation("C42", g, (), "mb_implies_shape")
+    violations = _violations("C42", g, _c42_witnesses(g.n, nbr))
+    return violations[0] if violations else None
 
 
 def four_subset_status(metric: MetricSpace, subset: Iterable[str]) -> tuple[bool, bool]:
@@ -228,36 +350,28 @@ def four_subset_status(metric: MetricSpace, subset: Iterable[str]) -> tuple[bool
 def check_conjecture_44(g: Graph) -> list[ConjectureViolation]:
     """All 4-vertex subsets where induced-4-cycle and equilateral
     pseudo-linear status disagree (empty list = consistent on g), in
-    `itertools.combinations` order.  Reads the unvalidated BFS rows of
-    `connected_distances`, which raises `Disconnected`.
+    `itertools.combinations` order.  Raises `Disconnected`, then
+    `TooSmall`.
 
     Lemma: a 4-set induces a 4-cycle exactly when its distances are the
     equilateral quadruple with s = 1: sides are edges, diagonals are
     non-edges with a common neighbour.  So only `ii_implies_i` occurs,
     with s >= 2: a diagonal (a, c) at distance 2s and two of its midpoints
     b, e (d(a,b) = d(b,c) = s) at distance 2s.  Each 4-set is found from
-    both of its diagonals.
+    both of its diagonals.  Such a diagonal needs diameter >= 4, so a
+    graph whose radius-3 balls are all the whole vertex set skips the BFS
+    rows and the scan.
     """
-    d = connected_distances(g)
+    nbr = _connected_nbr(g)
     if g.n < 4:
         raise TooSmall(f"need at least 4 vertices, got {g.n}")
-    quads = set()
-    for a, c in itertools.combinations(range(g.n), 2):
-        s, odd = divmod(d[a][c], 2)
-        if s >= 2 and not odd:
-            midpoints = [b for b in range(g.n) if d[a][b] == s == d[c][b]]
-            pairs = itertools.combinations(midpoints, 2)
-            quads.update(tuple(sorted((a, b, c, e))) for b, e in pairs if d[b][e] == 2 * s)
-    labels = g.vertex_labels
-    return [ConjectureViolation("C44", g, tuple(labels[i] for i in quad), "ii_implies_i")
-            for quad in sorted(quads)]
+    return _violations("C44", g, _c44_witnesses(g.n, nbr))
 
 
 # ---------------------------------------------------------------------------
 # Search harness
 # ---------------------------------------------------------------------------
 
-_CONJECTURES = {"C42": 3, "C44": 4}  # conjecture id -> smallest checkable n
 Keyed = tuple[tuple[int, int], ConjectureViolation]  # a violation and its graph's (n, mask)
 
 
@@ -305,18 +419,20 @@ def replay_violation(v: ConjectureViolation) -> bool:
 
 
 def _check_shard(conjecture_id: str, max_violations: int, shard: Shard) -> tuple[int, list[Keyed]]:
-    """Per-shard work item of `search`: walk the shard's roots, check every
-    class, and return the class count and the first max_violations
-    violations, each keyed by its graph's (n, mask)."""
+    """Per-shard work item of `search`: walk the shard's roots, run the
+    kernel on every class's neighbour bitmasks, and return the class count
+    and the first max_violations violations, each keyed by its graph's
+    (n, mask).  A `Graph` is built only for a violating class."""
     classes = 0
     kept: list[Keyed] = []
-    for n, mask, nbr in shard:
-        for g in enumerate_connected_graphs(n, (mask, nbr)):
+    for n, root in shard:
+        for mask, nbr in enumerate_connected_graphs(n, root):
             classes += 1
-            violations = check_graph(conjecture_id, g)
-            if violations:
-                key = (n, mask_from_graph(g))
-                kept += [(key, v) for v in violations[: max_violations - len(kept)]]
+            witnesses = _witnesses(conjecture_id, n, nbr)
+            if witnesses:
+                g = graph_from_mask(n, mask)
+                kept += [((n, mask), v) for v in
+                         _violations(conjecture_id, g, witnesses[: max_violations - len(kept)])]
     return classes, kept
 
 
@@ -337,6 +453,15 @@ def assemble_report(
     return ConjectureReport(conjecture_id, max_n, checked, tuple(v for _, v in keyed[:max_violations]))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS
+    reports one (a container may be pinned to a few of the host's CPUs),
+    else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def search(
     conjecture_id: str,
     max_n: int,
@@ -349,7 +474,7 @@ def search(
 
     Read's trees are split into at least 32 shards per job
     (`split_trees`), and each shard is walked and checked where it runs:
-    in-process for jobs = 1, else in a pool of min(jobs, `os.cpu_count()`)
+    in-process for jobs = 1, else in a pool of min(jobs, usable CPUs)
     processes, widest shards first, results taken as they finish.  The
     violations are merged in (n, mask) order, so the report is the same
     for every `jobs`.
@@ -358,14 +483,14 @@ def search(
         raise ParseError(f"unknown conjecture id {excerpt(conjecture_id)}; use C42 or C44")
     if not 3 <= max_n <= HARD_CAP:
         raise TooLarge(f"search needs 3 <= max_n <= {HARD_CAP}, got {max_n}")
-    min_n = _CONJECTURES[conjecture_id]
+    min_n = _CONJECTURES[conjecture_id][0]
     if max_n < min_n:
         raise TooSmall(f"{conjecture_id} search needs max_n >= {min_n}, got {max_n}")
     if jobs < 1:
         raise TooSmall(f"search needs jobs >= 1, got {jobs}")
     if max_violations < 1:
         raise TooSmall(f"search needs max_violations >= 1, got {max_violations}")
-    jobs = min(jobs, os.cpu_count() or 1)
+    jobs = min(jobs, _usable_cpus())
     shards = split_trees(min_n, max_n, 32 * jobs)
     check = functools.partial(_check_shard, conjecture_id, max_violations)
     if jobs == 1:

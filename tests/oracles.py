@@ -3,18 +3,24 @@
 Everything here deliberately avoids the library's own algorithms: distances
 come from exhaustive simple-path enumeration, isomorphism classes from
 orbits under explicit permutation action on edge sets, and line embeddings
-from trying every sign assignment.  Keep it dumb.
+from trying every sign assignment.  Keep it dumb.  The class helpers at the
+end are no oracle: they hand the tests the generator's classes, walked
+once per test session.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
-from metricgraph import EmptyGraph, Graph, MetricSpace, MetricViolation, TooSmall
+from metricgraph import (
+    EmptyGraph, Graph, MetricSpace, MetricViolation, TooSmall, classify_shape,
+    enumerate_connected_graphs, graph_from_mask,
+)
 from metricgraph.graph import connected_distances
 from metricgraph.metric import Rational
-from metricgraph.quadruples import ConjectureViolation, _mb_violation, _shape_in_conjecture
+from metricgraph.quadruples import ConjectureViolation, _mb_violation
 
 
 def brute_shortest_length(g: Graph, u: int, v: int) -> int | None:
@@ -273,14 +279,17 @@ def violation_reproduces(
 
 # The two conjecture checkers as they were before each kept only the
 # direction that can fail: both directions of each conjecture tested, the
-# C44 one on every 4-subset.  Kept verbatim but for the names.
+# C44 one on every 4-subset, on the rows of `connected_distances`.  Kept
+# verbatim but for the names and the C42 shape test, which reads
+# `classify_shape` here.
 
 def check_conjecture_42_two_sided(g: Graph) -> ConjectureViolation | None:
     d = connected_distances(g)
     if g.edge_count() == 0:
         raise EmptyGraph("conjecture applies to graphs with at least one edge")
     mb_witness = _mb_violation(d)
-    shape_ok = _shape_in_conjecture(g)
+    shape = classify_shape(g)
+    shape_ok = shape.is_path or (shape.is_cycle and shape.size == 4)
     if mb_witness is None and not shape_ok:
         return ConjectureViolation("C42", g, (), "mb_implies_shape")
     if mb_witness is not None and shape_ok:
@@ -331,3 +340,18 @@ def check_conjecture_44_by_subsets(g: Graph) -> list[ConjectureViolation]:
             subset = tuple(labels[i] for i in quad)
             out.append(ConjectureViolation("C44", g, subset, direction))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The generator's classes, shared by the tests
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def class_nodes(n: int) -> tuple[tuple[int, list[int]], ...]:
+    """The walker's nodes (mask, nbr) for n, walked once per test session."""
+    return tuple(enumerate_connected_graphs(n))
+
+
+def class_graphs(n: int) -> list[Graph]:
+    """One `Graph` per connected class on n vertices, in mask order."""
+    return [graph_from_mask(n, mask) for mask, _ in class_nodes(n)]

@@ -22,7 +22,6 @@ from metricgraph import (
     compute_x2_set,
     cycle_graph,
     embed,
-    enumerate_connected_graphs,
     geodesic_distances,
     geodesic_metric,
     induced_subgraph,
@@ -142,7 +141,7 @@ def test_criterion_5_adjacency_and_path_betweenness():
     path_interiors = 0
     ok = True
     for n in range(1, 7):
-        for g in enumerate_connected_graphs(n):
+        for g in oracles.class_graphs(n):
             m = geodesic_metric(g)
             dist = geodesic_distances(g)
             for i in range(n):
@@ -173,7 +172,7 @@ def test_criterion_6_conjecture_42_sweep():
     swept = 0
     ok = True
     for n in range(2, 8):  # every nonempty connected graph has n >= 2
-        for g in enumerate_connected_graphs(n):
+        for g in oracles.class_graphs(n):
             if check_conjecture_42(g) is not None:
                 ok = False
             swept += 1
@@ -193,7 +192,7 @@ def test_criterion_7_quad_inequality_sweep():
     subsets = 0
     ok = True
     for n in range(4, 7):
-        for g in enumerate_connected_graphs(n):
+        for g in oracles.class_graphs(n):
             m = geodesic_metric(g)
             for subset in itertools.combinations(m.labels, 4):
                 sub = m.restrict(subset)

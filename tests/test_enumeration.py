@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import random
 
 import pytest
@@ -21,10 +20,9 @@ import randgen
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 
-@functools.cache
 def stream_masks(n: int) -> tuple[int, ...]:
-    """The masks of the whole walk for n, computed once per test session."""
-    return tuple(mask_from_graph(g) for g in enumerate_connected_graphs(n))
+    """The masks of the whole walk for n, walked once per test session."""
+    return tuple(mask for mask, _ in oracles.class_nodes(n))
 
 
 def relabeled(g: Graph, rng: random.Random) -> Graph:
@@ -49,7 +47,7 @@ def test_canonical_relabeling_invariance():
 
 def test_canonical_matches_brute_force_min():
     for n in range(1, 6):
-        for g in enumerate_connected_graphs(n):
+        for g in oracles.class_graphs(n):
             assert canonical_form(g) == oracles.brute_min_encoding(g)
     rng = random.Random(17)
     for _ in range(10):
@@ -59,7 +57,7 @@ def test_canonical_matches_brute_force_min():
 
 def test_canonical_iff_isomorphic():
     rng = random.Random(23)
-    graphs = list(enumerate_connected_graphs(5))
+    graphs = oracles.class_graphs(5)
     for _ in range(40):
         a, b = rng.choice(graphs), rng.choice(graphs)
         a2 = relabeled(a, rng)
@@ -145,27 +143,30 @@ def test_enumeration_streams_the_first_class(monkeypatch):
         return search(*args, **kwargs)
 
     monkeypatch.setattr(enumeration, "_search", counting)
-    first = next(enumerate_connected_graphs(8))
+    first, _ = next(enumerate_connected_graphs(8))
     assert 0 < calls < 1000
-    assert first.edges() == [(i, 7) for i in range(7)]  # the star: the least connected mask
+    assert graph_from_mask(8, first).edges() == [(i, 7) for i in range(7)]  # the star: the least connected mask
 
 
 @pytest.mark.parametrize("min_n, max_n, count", [(1, 8, 64), (1, 6, 2), (5, 5, 1000)])
 def test_shards_cover_each_tree_once(min_n, max_n, count):
     """Walked shard by shard, each n's classes sorted by mask are the
-    whole walk's stream, with no mask twice; a subtree comes out in mask
-    order, and the single classes in (n, mask) order."""
+    whole walk's stream, with no mask twice and with the whole walk's
+    neighbour bitmasks (the single classes carry theirs); a subtree comes
+    out in mask order, and the single classes in (n, mask) order."""
     shards = split_trees(min_n, max_n, count)
     masks: dict[int, list[int]] = {n: [] for n in range(min_n, max_n + 1)}
+    reference = {n: dict(oracles.class_nodes(n)) for n in masks}
     for shard in shards:
-        walked = [(n, mask_from_graph(g)) for n, mask, nbr in shard
-                  for g in enumerate_connected_graphs(n, (mask, nbr))]
-        assert walked == sorted(set(walked))
-        for n, mask in walked:
+        walked = [(n, mask, nbr) for n, root in shard for mask, nbr in enumerate_connected_graphs(n, root)]
+        keys = [(n, mask) for n, mask, _ in walked]
+        assert keys == sorted(set(keys))
+        for n, mask, nbr in walked:
+            assert nbr == reference[n][mask], (n, mask)
             masks[n].append(mask)
     for n, found in masks.items():
         assert tuple(sorted(found)) == stream_masks(n), n
-    subtrees = [shard for shard in shards if shard[0][2] is not None]
+    subtrees = [shard for shard in shards if shard[0][1][2]]
     assert len(subtrees) >= count or len(subtrees) == 0
 
 
@@ -178,14 +179,14 @@ def test_enumeration_matches_networkx_atlas():
             g = Graph.from_edges([f"a{v}" for v in range(h.number_of_nodes())], list(h.edges()))
             atlas[g.n].add(canonical_form(g))
     for n, forms in atlas.items():
-        emitted = [_encode(n, mask_from_graph(g)) for g in enumerate_connected_graphs(n)]
+        emitted = [_encode(n, mask) for mask, _ in oracles.class_nodes(n)]
         assert len(emitted) == len(forms) == KNOWN_COUNTS[n]
         assert set(emitted) == forms
 
 
 def test_enumeration_pairwise_distinct_canonical_forms():
     for n in range(1, 6):
-        forms = [canonical_form(g) for g in enumerate_connected_graphs(n)]
+        forms = [canonical_form(g) for g in oracles.class_graphs(n)]
         assert len(set(forms)) == len(forms)
 
 
@@ -193,17 +194,23 @@ def test_enumeration_representatives_are_canonical():
     """Each representative's own bitmask is already its canonical form: the
     two isomorphism routes (orbit marking vs branch-and-bound) agree."""
     for n in range(2, 7):
-        for g in enumerate_connected_graphs(n):
-            assert canonical_form(g) == _encode(n, mask_from_graph(g))
+        for mask, _ in oracles.class_nodes(n):
+            assert canonical_form(graph_from_mask(n, mask)) == _encode(n, mask)
 
 
 def test_enumeration_all_connected_and_deterministic():
+    """Two walks agree, every class is connected, and each node's nbr are
+    the rows of its mask's graph, for n <= 7."""
     from metricgraph import is_connected
 
-    run1 = [g for g in enumerate_connected_graphs(5)]
-    run2 = [g for g in enumerate_connected_graphs(5)]
+    run1 = list(enumerate_connected_graphs(5))
+    run2 = list(enumerate_connected_graphs(5))
     assert run1 == run2
-    assert all(is_connected(g) for g in run1)
+    assert all(is_connected(graph_from_mask(5, mask)) for mask, _ in run1)
+    for n in range(1, 8):
+        for mask, nbr in oracles.class_nodes(n):
+            g = graph_from_mask(n, mask)
+            assert nbr == [sum(1 << j for j in row) for row in g.adjacency], (n, mask)
 
 
 def test_enumeration_cap():

@@ -8,6 +8,7 @@ import json
 import multiprocessing
 import os
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -27,8 +28,8 @@ from metricgraph import (
     WrongArity,
     check_conjecture_42,
     check_conjecture_44,
+    classify_shape,
     cycle_graph,
-    enumerate_connected_graphs,
     geodesic_metric,
     line_embed,
     mb_check,
@@ -39,6 +40,7 @@ from metricgraph import (
     search,
 )
 from metricgraph import quadruples
+from metricgraph.graph import connected_distances
 from metricgraph.quadruples import assemble_report, ConjectureViolation, four_subset_status
 
 import oracles
@@ -227,7 +229,7 @@ def test_quad_slack_sign_and_equality_cases():
     """Over all 4-subsets of all connected graphs on <= 5 vertices: slack is
     never negative, and hits zero exactly for equilateral quadruples."""
     for n in range(4, 6):
-        for g in enumerate_connected_graphs(n):
+        for g in oracles.class_graphs(n):
             m = geodesic_metric(g)
             for subset in itertools.combinations(m.labels, 4):
                 sub = m.restrict(subset)
@@ -257,16 +259,17 @@ def test_c42_matches_the_metric_route(monkeypatch):
     """The BFS-row checker gives the same result as `mb_check` on the
     validated geodesic metric plus `classify_shape`, and `mb_check`'s
     witness is the first violating triple of the definition.  Paths and C4
-    are in the class, the lemma that lets the checker skip their scan.  The
+    are in the class, the lemma that lets the checker skip their scan, and
+    the kernel's degree-count shape test agrees with `classify_shape`.  The
     shape test is also run negated, so that the `mb_implies_shape` branch
     runs on graphs in the class too: the paths and 4-cycles."""
     from metricgraph import classify_shape
     from metricgraph import quadruples
 
     in_shape = quadruples._shape_in_conjecture
-    graphs = [g for n in range(2, 7) for g in enumerate_connected_graphs(n)]
+    graphs = [g for n in range(2, 7) for g in oracles.class_graphs(n)]
     for flip in (False, True):
-        monkeypatch.setattr(quadruples, "_shape_in_conjecture", lambda g: in_shape(g) != flip)
+        monkeypatch.setattr(quadruples, "_shape_in_conjecture", lambda n, nbr: in_shape(n, nbr) != flip)
         for g in graphs + [cycle_graph(8), path_graph(8)]:
             m = geodesic_metric(g)
             witness = mb_check(m)
@@ -275,6 +278,7 @@ def test_c42_matches_the_metric_route(monkeypatch):
             path_or_c4 = shape.is_path or (shape.is_cycle and shape.size == 4)
             if path_or_c4:
                 assert witness is None, g
+            assert in_shape(g.n, [sum(1 << j for j in row) for row in g.adjacency]) == path_or_c4, g
             expected = None
             if witness is None and path_or_c4 == flip:
                 expected = ((), "mb_implies_shape")
@@ -313,7 +317,7 @@ def test_induced_four_cycles_are_unit_equilateral_quadruples():
 
     found = 0
     for n in range(4, 7):
-        for g in enumerate_connected_graphs(n):
+        for g in oracles.class_graphs(n):
             m = geodesic_metric(g)
             for subset in itertools.combinations(m.labels, 4):
                 shape = classify_shape(induced_subgraph(g, subset))
@@ -330,7 +334,7 @@ def test_c44_status_matches_shape_and_plq_route():
     an induced subgraph's shape and the restricted metric's classification."""
     from metricgraph import classify_shape, induced_subgraph
 
-    graphs = [g for n in range(4, 7) for g in enumerate_connected_graphs(n)]
+    graphs = [g for n in range(4, 7) for g in oracles.class_graphs(n)]
     for g in graphs + [cycle_graph(8)]:
         m = geodesic_metric(g)
         for quad in itertools.combinations(range(g.n), 4):
@@ -351,19 +355,30 @@ def grid_graph(r: int, c: int) -> Graph:
 
 
 def test_checkers_match_the_two_sided_routes():
-    """Each checker tests only the direction that can fail; the routes that
-    test both (C44 on every 4-subset) give the same output on every class
-    with n <= 7, C4..C16, P4..P16, the r x c grids with 2 <= r, c <= 5 and
-    1000 seeded sparse graphs, a set with at least 50 C44 violations."""
+    """Each checker tests only the direction that can fail, on the kernel's
+    bit-parallel BFS rows; the routes that test both (C44 on every
+    4-subset), on the rows of `connected_distances`, give the same output
+    on every class with n <= 7, C4..C16, P4..P16, the r x c grids with
+    2 <= r, c <= 5 and 1000 seeded sparse graphs, a set with at least 50
+    C44 violations.  On the n = 8 classes too, C44 only where the diameter
+    is at least 4, the only classes it does not skip.  On all of them the
+    kernel's rows equal `connected_distances`, and its diameter test
+    agrees with the rows."""
     rng = random.Random(20261018)
-    graphs = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
+    graphs = [g for n in range(2, 8) for g in oracles.class_graphs(n)]
     graphs += [f(n) for f in (cycle_graph, path_graph) for n in range(4, 17)]
     graphs += [grid_graph(r, c) for r in range(2, 6) for c in range(2, 6)]
     graphs += [randgen.random_sparse_graph(rng) for _ in range(1000)]
+    n8 = oracles.class_graphs(8)
     c44_violations = 0
-    for g in graphs:
+    for k, g in enumerate(graphs + n8):
+        d = connected_distances(g)
+        nbr = [sum(1 << j for j in row) for row in g.adjacency]
+        assert quadruples._distance_rows(g.n, nbr) == [list(row) for row in d], g
+        diameter = max(map(max, d))
+        assert quadruples._diameter_below_4(g.n, nbr) == (diameter < 4), g
         assert check_conjecture_42(g) == oracles.check_conjecture_42_two_sided(g), g
-        if g.n >= 4:
+        if g.n >= 4 and (k < len(graphs) or diameter >= 4):
             violations = check_conjecture_44(g)
             assert violations == oracles.check_conjecture_44_by_subsets(g), g
             c44_violations += len(violations)
@@ -513,16 +528,16 @@ def test_search_pool_is_at_most_one_worker_per_cpu(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     expected = search("C44", 6).to_json()
     for jobs in (2, 3, 4, 1_000_000):
         assert search("C44", 6, jobs=jobs).to_json() == expected
     assert sizes == [2, 3, 3, 3]
     # With two violations on every class, the merge must restore (n, mask)
     # order, and keep one graph's violations in their own order.
-    monkeypatch.setattr(quadruples, "check_graph",
-                        lambda cid, g: [ConjectureViolation(cid, g, (w,), "flagged") for w in "ab"])
-    classes = itertools.islice((g for n in (4, 5, 6) for g in enumerate_connected_graphs(n)), 20)
-    first = [(g, (w,)) for g in classes for w in "ab"]
+    monkeypatch.setattr(quadruples, "_witnesses", lambda cid, n, nbr: [(0,), (1,)])
+    classes = itertools.islice((g for n in (4, 5, 6) for g in oracles.class_graphs(n)), 20)
+    first = [(g, (w,)) for g in classes for w in ("v0", "v1")]
     for jobs in (1, 3):
         report = search("C44", 6, max_violations=40, jobs=jobs)
         assert [(v.graph, v.witness) for v in report.violations] == first
@@ -532,11 +547,51 @@ def test_search_pool_is_at_most_one_worker_per_cpu(monkeypatch):
     assert max(kept_per_shard) == 3  # a shard sends back no more than the report can use
 
 
-def test_pooled_search_matches_in_process_at_n8():
+def test_search_pool_follows_the_cpu_affinity(monkeypatch):
+    """A process pinned to one CPU of a 64-CPU host runs jobs = 3 in-process."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one usable CPU must not start a process pool")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
+    assert search("C44", 5, jobs=3).graphs_checked == 27
+
+
+def test_sweeps_compute_rows_and_graphs_only_where_needed(monkeypatch):
+    """At n <= 7 the kernel computes BFS rows for C42 only on the
+    triangle-free classes other than paths and C4, and for C44 only on the
+    classes of diameter >= 4; no class violates, so no `Graph` is built."""
+    calls = Counter()
+    rows, build = quadruples._distance_rows, quadruples.graph_from_mask
+    monkeypatch.setattr(quadruples, "_distance_rows", lambda n, nbr: calls.update(["rows"]) or rows(n, nbr))
+    monkeypatch.setattr(quadruples, "graph_from_mask", lambda n, mask: calls.update(["graph"]) or build(n, mask))
+    graphs = [g for n in range(3, 8) for g in oracles.class_graphs(n)]
+    triangle_free = [g for g in graphs if not any(
+        g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
+        for a, b, c in itertools.combinations(range(g.n), 3))]
+    shapes = [classify_shape(g) for g in triangle_free]
+    c42_rows = sum(not (s.is_path or (s.is_cycle and s.size == 4)) for s in shapes)
+    c44_rows = sum(max(map(max, connected_distances(g))) >= 4 for g in graphs)
+    assert (c42_rows, c44_rows) == (82, 102)  # of 994 and 992 classes
+    assert search("C42", 7).graphs_checked == 994
+    assert calls == {"rows": c42_rows}
+    calls.clear()
+    assert search("C44", 7).graphs_checked == 992
+    assert calls == {"rows": c44_rows}
+
+
+def test_pooled_search_matches_in_process_at_n8(monkeypatch):
     """A real pool, shards done in any order: each capped report is the
-    first k violations of the uncapped in-process one, byte for byte."""
+    first k violations of the uncapped in-process one, byte for byte.  The
+    in-process sweep builds one `Graph` per violating class and no other."""
+    built = []
+    build = quadruples.graph_from_mask
+    monkeypatch.setattr(quadruples, "graph_from_mask", lambda n, mask: built.append(mask) or build(n, mask))
     full = search("C44", 8, max_violations=100)
+    monkeypatch.undo()
     assert len(full.violations) == 2
+    assert len(built) == len({v.graph for v in full.violations})
     for k in (1, 2, 100):
         capped = replace(full, violations=full.violations[:k])
         assert search("C44", 8, max_violations=k, jobs=2).to_json() == capped.to_json()
