@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -61,9 +62,10 @@ def _load_metric(path: str, fmt: str) -> MetricSpace:
 def _load_metric_or_graph(path: str) -> MetricSpace:
     """Metric file, or graph file converted through its geodesic metric.
 
-    JSON inputs are told apart by their keys; text inputs by the token
-    count of the first line: graph files start with `n m`, metric matrices
-    with `n` alone or with all `n*n` entries on the same line.
+    JSON inputs are told apart by their keys, text inputs by token counts:
+    n*n + 1 tokens, n the first, is a matrix (a graph on n >= 2 vertices
+    has at most n(n - 1) + 2, and `1 0` is the one-point matrix); else a
+    first line `n m` starts a graph, and any other first line a matrix.
     """
     text = _read_input(path)
     stripped = text.lstrip()
@@ -77,12 +79,13 @@ def _load_metric_or_graph(path: str) -> MetricSpace:
         if isinstance(doc, dict) and "vertices" in doc:
             return geodesic_metric(parse_graph(text, "json"))
         raise ParseError("JSON input is neither a metric nor a graph document")
-    first = stripped.splitlines()[0].split() if stripped else []
-    if len(first) == 2:
+    tokens = stripped.split()
+    if not tokens:
+        raise ParseError("cannot tell metric matrix from graph text input")
+    size = math.isqrt(len(tokens) - 1)
+    if len(stripped.splitlines()[0].split()) == 2 and (tokens[0], len(tokens)) != (str(size), size * size + 1):
         return geodesic_metric(parse_graph(text, "text"))
-    if first:
-        return parse_metric(text, "matrix")
-    raise ParseError("cannot tell metric matrix from graph text input")
+    return parse_metric(text, "matrix")
 
 
 # ---------------------------------------------------------------------------

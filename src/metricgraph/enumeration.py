@@ -59,13 +59,6 @@ def graph_from_mask(n: int, mask: int) -> Graph:
     return Graph(tuple(f"v{k}" for k in range(n)), tuple(map(tuple, rows)))
 
 
-def mask_from_graph(g: Graph) -> int:
-    mask = 0
-    for i, j in _pair_positions(g.n):
-        mask = mask << 1 | g.has_edge(i, j)
-    return mask
-
-
 def _encode(n: int, mask: int) -> bytes:
     """Vertex-count prefix + the C(n,2)-bit mask packed MSB-first."""
     nbits = n * (n - 1) // 2
@@ -141,7 +134,8 @@ def canonical_form(g: Graph, max_vertices: int = HARD_CAP) -> bytes:
     if n > max_vertices:
         raise TooLarge(f"canonical form capped at {max_vertices} vertices, got {n}")
     nbr = [sum(1 << j for j in g.adjacency[i]) for i in range(n)]
-    best = _columns(n, mask_from_graph(g))
+    # the graph's own string: column k is vertex k's adjacency to 0..k-1, vertex 0 first
+    best = [sum((nbr[k] >> i & 1) << (k - 1 - i) for i in range(k)) for k in range(n)]
     _search(n, nbr, best, stop=False)
     mask = 0
     for k, col in enumerate(best):

@@ -12,6 +12,8 @@ tying these notions to graph shape (paths and the 4-cycle) and to induced
 4-cycles, plus an exhaustive search harness over enumerated small graphs.
 The checkers report evidence - consistency on the searched range or
 replayable violations - never verdicts about the conjectures themselves.
+Conjecture 4.2 on finite graphs is the exception: `check_conjecture_42`'s
+docstring proves it, and its sweep stays as a computed check of the proof.
 """
 
 from __future__ import annotations
@@ -227,27 +229,13 @@ def _diameter_below_4(n: int, nbr: list[int]) -> bool:
     return True
 
 
-def _shape_in_conjecture(n: int, nbr: list[int]) -> bool:
-    """Whether the connected graph is a path or C4.  With degrees at most 2
-    it is a path or a cycle: a path when it has n - 1 edges, and either
-    way one of the two shapes when n = 4."""
-    degrees = [x.bit_count() for x in nbr]
-    return max(degrees) <= 2 and (sum(degrees) == 2 * (n - 1) or n == 4)
-
-
 def _c42_witnesses(n: int, nbr: list[int]) -> list[tuple[()]]:
-    """[()] when the class violates C42 (see `check_conjecture_42`), else []."""
-    for i in range(n):
-        x = nbr[i]
-        above = x >> i + 1 << i + 1
-        while above:
-            low = above & -above
-            if x & nbr[low.bit_length() - 1]:  # the edge (i, j) is in a triangle
-                return []
-            above ^= low
-    if _shape_in_conjecture(n, nbr) or _mb_violation(_distance_rows(n, nbr)) is not None:
+    """[()] when the class violates C42, else []: `check_conjecture_42`'s
+    lemma decides every class but C_n, n >= 5, from its degrees."""
+    degrees = [x.bit_count() for x in nbr]
+    if max(degrees) >= 3 or sum(degrees) == 2 * (n - 1) or n <= 4:
         return []
-    return [()]
+    return [] if _mb_violation(_distance_rows(n, nbr)) is not None else [()]
 
 
 def _c44_witnesses(n: int, nbr: list[int]) -> list[tuple[int, int, int, int]]:
@@ -313,11 +301,17 @@ def check_conjecture_42(g: Graph) -> ConjectureViolation | None:
     where 2 = 1 + 1.  So only `mb_implies_shape` can occur (empty
     witness).
 
-    Triangle lemma: a triangle x, y, z is itself a violation of the class,
-    as d(x,z) = 1 >= max(d(x,y), d(y,z)) but 1 != 1 + 1, and a path or C4
-    has no triangle.  So a graph with a triangle (an edge whose ends share
-    a neighbour) is consistent, paths and C4 are consistent, and only the
-    other triangle-free graphs pay for the BFS rows and the triple scan.
+    Lemma: no finite connected graph other than a path or C4 is in the
+    class, so this never reports.  A triangle x, y, z violates it, as
+    d(x,z) = 1 >= max(d(x,y), d(y,z)) but 1 != 1 + 1.  A vertex of degree
+    >= 3 with no two of its neighbours adjacent gives three neighbours x,
+    y, z pairwise at distance 2, and 2 >= max(2, 2) but 2 != 4.  With
+    every degree <= 2 the graph is a path (n - 1 edges), C3 (a triangle),
+    C4, or C_n with n >= 5, numbered around the cycle: for n = 2m + 1,
+    (1, 0, m + 1) has distances 1, m, m; for n = 2m, (0, m + 1, m - 1) has
+    distances m - 1, 2, m - 1.  So the kernel counts degrees, and only a
+    C_n with n >= 5 reaches the BFS rows and the triple scan, which stay
+    as the sweep's computed check of the last case.
     Raises `Disconnected`, then `EmptyGraph`.
     """
     nbr = _connected_nbr(g)

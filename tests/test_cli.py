@@ -307,8 +307,9 @@ def test_check_quad_ineq_on_graph_with_int_distances(tmp_path, capsys):
 
 def test_check_reads_a_one_line_matrix(tmp_path, capsys):
     """`n` and all n*n entries on one line is a metric matrix, as in
-    `validate`; the report matches the multi-line form."""
-    for rows in (["0 1 2", "1 0 1", "2 1 0"], ["0 1 2 1", "1 0 1 2", "2 1 0 1", "1 2 1 0"]):
+    `validate`; the report matches the multi-line form, also for the
+    one-point matrix `1 0`, which has the two tokens of a graph header."""
+    for rows in (["0"], ["0 1 2", "1 0 1", "2 1 0"], ["0 1 2 1", "1 0 1 2", "2 1 0 1", "1 2 1 0"]):
         one_line = write(tmp_path, "one.txt", f"{len(rows)} {' '.join(rows)}\n")
         multi_line = write(tmp_path, "multi.txt", "\n".join([str(len(rows)), *rows]) + "\n")
         for check in ("--mb", "--line"):

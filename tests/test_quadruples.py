@@ -258,32 +258,68 @@ def test_c42_examples():
 def test_c42_matches_the_metric_route(monkeypatch):
     """The BFS-row checker gives the same result as `mb_check` on the
     validated geodesic metric plus `classify_shape`, and `mb_check`'s
-    witness is the first violating triple of the definition.  Paths and C4
-    are in the class, the lemma that lets the checker skip their scan, and
-    the kernel's degree-count shape test agrees with `classify_shape`.  The
-    shape test is also run negated, so that the `mb_implies_shape` branch
-    runs on graphs in the class too: the paths and 4-cycles."""
-    from metricgraph import classify_shape
-    from metricgraph import quadruples
+    witness is the first violating triple of the definition: paths and C4
+    are in the class, every other class is not, and none reports.  With
+    `_mb_violation` patched to find nothing, the `mb_implies_shape` branch
+    runs, and exactly the cycles with n >= 5 report: the kernel decides
+    every other class from its degrees."""
+    graphs = [g for n in range(2, 8) for g in oracles.class_graphs(n)]
+    graphs += [cycle_graph(8), path_graph(8)]
+    for g in graphs:
+        m = geodesic_metric(g)
+        witness = mb_check(m)
+        assert witness == oracles.first_mb_violation(m)
+        shape = classify_shape(g)
+        assert (witness is None) == (shape.is_path or (shape.is_cycle and shape.size == 4)), g
+        assert check_conjecture_42(g) is None, g
+    monkeypatch.setattr(quadruples, "_mb_violation", lambda d: None)
+    for g in graphs:
+        shape = classify_shape(g)
+        expected = ((), "mb_implies_shape") if shape.is_cycle and shape.size >= 5 else None
+        got = check_conjecture_42(g)
+        assert (got if got is None else (got.witness, got.direction)) == expected, g
 
-    in_shape = quadruples._shape_in_conjecture
-    graphs = [g for n in range(2, 7) for g in oracles.class_graphs(n)]
-    for flip in (False, True):
-        monkeypatch.setattr(quadruples, "_shape_in_conjecture", lambda n, nbr: in_shape(n, nbr) != flip)
-        for g in graphs + [cycle_graph(8), path_graph(8)]:
-            m = geodesic_metric(g)
-            witness = mb_check(m)
-            assert witness == oracles.first_mb_violation(m)
-            shape = classify_shape(g)
-            path_or_c4 = shape.is_path or (shape.is_cycle and shape.size == 4)
-            if path_or_c4:
-                assert witness is None, g
-            assert in_shape(g.n, [sum(1 << j for j in row) for row in g.adjacency]) == path_or_c4, g
-            expected = None
-            if witness is None and path_or_c4 == flip:
-                expected = ((), "mb_implies_shape")
-            got = check_conjecture_42(g)
-            assert (got if got is None else (got.witness, got.direction)) == expected, g
+
+def c42_certificate(g: Graph) -> tuple[int, int, int] | None:
+    """A triple outside the betweenness class, read off the adjacency as in
+    the lemma of `check_conjecture_42`: a triangle; else three neighbours
+    of a vertex of degree >= 3; else, on C_n with n >= 5 numbered around
+    the cycle from vertex 0, (1, 0, m + 1) for n = 2m + 1 and
+    (0, m + 1, m - 1) for n = 2m.  None for paths and C4."""
+    n, adj = g.n, g.adjacency
+    for a, b, c in itertools.combinations(range(n), 3):
+        if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c):
+            return (a, b, c)
+    for row in adj:
+        if len(row) >= 3:
+            return tuple(row[:3])
+    if g.edge_count() == n - 1 or n == 4:
+        return None
+    order = [0, adj[0][0]]
+    while len(order) < n:
+        order.append(next(u for u in adj[order[-1]] if u != order[-2]))
+    m, odd = divmod(n, 2)
+    return tuple(order[k] for k in ((1, 0, m + 1) if odd else (0, m + 1, m - 1)))
+
+
+def test_c42_certificates_from_adjacency():
+    """Every class n = 3..8, and P_n, C_n for n = 3..16: the certificate
+    read off the adjacency meets `_mb_violation`'s own condition on the
+    BFS rows, and only paths and C4 have none, on which `_mb_violation`
+    finds nothing."""
+    graphs = [g for n in range(3, 9) for g in oracles.class_graphs(n)]
+    graphs += [f(n) for f in (cycle_graph, path_graph) for n in range(3, 17)]
+    for g in graphs:
+        d = connected_distances(g)
+        triple = c42_certificate(g)
+        shape = classify_shape(g)
+        assert (triple is None) == (shape.is_path or (shape.is_cycle and shape.size == 4)), g
+        if triple is None:
+            assert quadruples._mb_violation(d) is None, g
+        else:
+            x, y, z = triple
+            assert len(set(triple)) == 3, g
+            assert d[x][z] >= max(d[x][y], d[y][z]) and d[x][z] != d[x][y] + d[y][z], g
 
 
 def test_c42_errors():
@@ -559,21 +595,17 @@ def test_search_pool_follows_the_cpu_affinity(monkeypatch):
 
 
 def test_sweeps_compute_rows_and_graphs_only_where_needed(monkeypatch):
-    """At n <= 7 the kernel computes BFS rows for C42 only on the
-    triangle-free classes other than paths and C4, and for C44 only on the
-    classes of diameter >= 4; no class violates, so no `Graph` is built."""
+    """At n <= 7 the kernel computes BFS rows for C42 only on the cycles
+    with n >= 5, and for C44 only on the classes of diameter >= 4; no class
+    violates, so no `Graph` is built."""
     calls = Counter()
     rows, build = quadruples._distance_rows, quadruples.graph_from_mask
     monkeypatch.setattr(quadruples, "_distance_rows", lambda n, nbr: calls.update(["rows"]) or rows(n, nbr))
     monkeypatch.setattr(quadruples, "graph_from_mask", lambda n, mask: calls.update(["graph"]) or build(n, mask))
     graphs = [g for n in range(3, 8) for g in oracles.class_graphs(n)]
-    triangle_free = [g for g in graphs if not any(
-        g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
-        for a, b, c in itertools.combinations(range(g.n), 3))]
-    shapes = [classify_shape(g) for g in triangle_free]
-    c42_rows = sum(not (s.is_path or (s.is_cycle and s.size == 4)) for s in shapes)
+    c42_rows = sum(s.is_cycle and s.size >= 5 for s in map(classify_shape, graphs))
     c44_rows = sum(max(map(max, connected_distances(g))) >= 4 for g in graphs)
-    assert (c42_rows, c44_rows) == (82, 102)  # of 994 and 992 classes
+    assert (c42_rows, c44_rows) == (3, 102)  # of 994 and 992 classes
     assert search("C42", 7).graphs_checked == 994
     assert calls == {"rows": c42_rows}
     calls.clear()
