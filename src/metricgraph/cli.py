@@ -1,9 +1,12 @@
 """Command-line interface.
 
-Machine-readable JSON goes to stdout; short human summaries go to stderr.
-Exit codes: 0 = success / positive result, 1 = domain-level negative result
-(condition fails, violations found, disconnected input) with a witness in
-the JSON report, 2 = usage or parse error.
+Each `cmd_*` returns an outcome: an exit code, a document (a dict to
+encode as JSON, or text already rendered) and a one-line summary.  `main`
+turns each typed error into such an outcome too, and is the only writer:
+one document to stdout, one summary line to stderr.  Exit codes: 0 =
+success / positive result, 1 = domain-level negative result (condition
+fails, violations found, disconnected input) with a witness in the
+document, 2 = usage or parse error.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from .realization import RealizationResult, ceil_embed, embed, realize
 USAGE_ERROR = 2
 DOMAIN_NEGATIVE = 1
 
+_Outcome = tuple[int, "dict | str", str]
+
 
 def _read_input(path: str) -> str:
     try:
@@ -43,12 +48,8 @@ def _read_input(path: str) -> str:
         raise ParseError(f"input is not {exc.encoding} text: {exc.reason} at byte {exc.start}") from exc
 
 
-def _emit(doc: dict) -> None:
-    sys.stdout.write(json_text(doc))
-
-
-def _note(message: str) -> None:
-    sys.stderr.write(message + "\n")
+def _emit(text: str) -> None:
+    sys.stdout.write(text)
 
 
 def _metric_format_of(fmt: str) -> str:
@@ -92,40 +93,23 @@ def _load_metric_or_graph(path: str) -> MetricSpace:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace) -> _Outcome:
+    doc: dict = {"command": "validate", "metric_valid": True, "violation": None,
+                 "integer_valued": None, "kay_chartrand": None}
     try:
         m = _load_metric(args.input, args.format)
     except MetricViolation as v:
-        _emit({
-            "command": "validate",
-            "metric_valid": False,
-            "violation": {"kind": v.kind, "witness": list(v.witness), "message": str(v)},
-            "integer_valued": None,
-            "kay_chartrand": None,
-        })
-        _note(f"validate: not a metric ({v.kind} at {v.witness})")
-        return DOMAIN_NEGATIVE
-    integer = is_integer_metric(m)
-    kc_doc = None
-    ok = integer
-    if integer:
-        witness = kay_chartrand_check(m)
-        kc_doc = {"pass": witness is None,
-                  "witness": None if witness is None else list(witness)}
-        ok = witness is None
-    _emit({
-        "command": "validate",
-        "metric_valid": True,
-        "violation": None,
-        "integer_valued": integer,
-        "kay_chartrand": kc_doc,
-    })
-    if ok:
-        _note(f"validate: {m.n} points, realizable as a graph geodesic metric")
-        return 0
-    _note("validate: metric ok but not realizable exactly"
-          + ("" if integer else " (non-integer distances)"))
-    return DOMAIN_NEGATIVE
+        doc.update(metric_valid=False,
+                   violation={"kind": v.kind, "witness": list(v.witness), "message": str(v)})
+        return DOMAIN_NEGATIVE, doc, f"validate: not a metric ({v.kind} at {v.witness})"
+    doc["integer_valued"] = is_integer_metric(m)
+    if not doc["integer_valued"]:
+        return DOMAIN_NEGATIVE, doc, "validate: metric ok but not realizable exactly (non-integer distances)"
+    witness = kay_chartrand_check(m)
+    doc["kay_chartrand"] = {"pass": witness is None, "witness": None if witness is None else list(witness)}
+    if witness is None:
+        return 0, doc, f"validate: {m.n} points, realizable as a graph geodesic metric"
+    return DOMAIN_NEGATIVE, doc, "validate: metric ok but not realizable exactly"
 
 
 def _write_artifacts(args: argparse.Namespace, result: RealizationResult) -> dict:
@@ -153,126 +137,101 @@ def _write_artifacts(args: argparse.Namespace, result: RealizationResult) -> dic
     return out_doc
 
 
-def _finish_construction(args: argparse.Namespace, name: str,
-                         result: RealizationResult) -> int:
+def _construction(args: argparse.Namespace, name: str, result: RealizationResult) -> _Outcome:
     # Every host vertex is a point or an auxiliary vertex, and points map
     # one to one, so the map is onto exactly when there are no auxiliaries.
-    if args.require_onto and result.aux_count:
-        _emit({"command": name, "error": "not_onto",
-               "unmapped_vertices": result.aux_count})
-        _note(f"{name}: map is not onto the host graph "
-              f"({result.aux_count} extra vertices); not an isometry")
-        return DOMAIN_NEGATIVE
-    doc = {"command": name}
-    doc.update(_write_artifacts(args, result))
-    _emit(doc)
-    _note(f"{name}: {result.graph.n} vertices, {result.graph.edge_count()} edges, "
-          f"{result.aux_count} auxiliary")
-    return 0
+    g, aux = result.graph, result.aux_count
+    if args.require_onto and aux:
+        return DOMAIN_NEGATIVE, {"command": name, "error": "not_onto", "unmapped_vertices": aux}, (
+            f"{name}: map is not onto the host graph ({aux} extra vertices); not an isometry")
+    doc = {"command": name, **_write_artifacts(args, result)}
+    return 0, doc, f"{name}: {g.n} vertices, {g.edge_count()} edges, {aux} auxiliary"
 
 
-def cmd_realize(args: argparse.Namespace) -> int:
+def cmd_realize(args: argparse.Namespace) -> _Outcome:
     m = _load_metric(args.input, args.format)
     try:
         result = realize(m)
         name = "realize"
     except ConditionFailed as exc:
         if not args.fallback_embed:
-            _emit({"command": "realize", "error": "condition_failed",
-                   "witness": list(exc.witness)})
-            _note(f"realize: no point between {exc.witness}; "
-                  f"rerun with --fallback-embed to subdivide")
-            return DOMAIN_NEGATIVE
+            return DOMAIN_NEGATIVE, {"command": "realize", "error": "condition_failed",
+                                     "witness": list(exc.witness)}, (
+                f"realize: no point between {exc.witness}; "
+                f"rerun with --fallback-embed to subdivide")
         result = embed(m)
         name = "realize+fallback"
-    return _finish_construction(args, name, result)
+    return _construction(args, name, result)
 
 
-def cmd_embed(args: argparse.Namespace) -> int:
-    m = _load_metric(args.input, args.format)
-    return _finish_construction(args, "embed", embed(m))
+def cmd_embed(args: argparse.Namespace) -> _Outcome:
+    return _construction(args, "embed", embed(_load_metric(args.input, args.format)))
 
 
-def cmd_ceil_embed(args: argparse.Namespace) -> int:
-    result = ceil_embed(_load_metric(args.input, args.format))
-    code = _finish_construction(args, "ceil-embed", result)
-    if code == 0:
-        _note("ceil-embed: d <= d_G < d + 1 verified for all pairs")
-    return code
+def cmd_ceil_embed(args: argparse.Namespace) -> _Outcome:
+    code, doc, summary = _construction(args, "ceil-embed", ceil_embed(_load_metric(args.input, args.format)))
+    return code, doc, summary + ("; d <= d_G < d + 1 verified for all pairs" if code == 0 else "")
 
 
-def cmd_distances(args: argparse.Namespace) -> int:
+def cmd_distances(args: argparse.Namespace) -> _Outcome:
     g = parse_graph(_read_input(args.input), args.format)
     try:
         m = geodesic_metric(g)
     except Disconnected:
-        _emit({"command": "distances", "error": "disconnected"})
-        _note("distances: graph is disconnected; geodesic metric undefined")
-        return DOMAIN_NEGATIVE
-    sys.stdout.write(dump_metric(m, _metric_format_of(args.format)))
-    _note(f"distances: {g.n}x{g.n} matrix")
-    return 0
+        return DOMAIN_NEGATIVE, {"command": "distances", "error": "disconnected"}, (
+            "distances: graph is disconnected; geodesic metric undefined")
+    return 0, dump_metric(m, _metric_format_of(args.format)), f"distances: {g.n}x{g.n} matrix"
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace) -> _Outcome:
     m = _load_metric_or_graph(args.input)
     if args.labels:
         m = m.restrict(args.labels)
 
     if args.mb:
         witness = mb_check(m)
-        _emit({"command": "check", "check": "mb", "pass": witness is None,
-               "witness": None if witness is None else list(witness)})
+        doc = {"command": "check", "check": "mb", "pass": witness is None,
+               "witness": None if witness is None else list(witness)}
         if witness is None:
-            _note("check: betweenness class membership holds")
-            return 0
-        _note(f"check: betweenness additivity fails at {witness}")
-        return DOMAIN_NEGATIVE
+            return 0, doc, "check: betweenness class membership holds"
+        return DOMAIN_NEGATIVE, doc, f"check: betweenness additivity fails at {witness}"
 
     if args.line:
         coords = line_embed(m)
+        doc = {"command": "check", "check": "line", "embeddable": coords is not None, "coordinates":
+               None if coords is None else {k: rational_to_json(v) for k, v in coords.items()}}
         if coords is None:
-            _emit({"command": "check", "check": "line", "embeddable": False,
-                   "coordinates": None})
-            _note("check: no isometric embedding into the line exists")
-            return DOMAIN_NEGATIVE
-        _emit({"command": "check", "check": "line", "embeddable": True,
-               "coordinates": {k: rational_to_json(v) for k, v in coords.items()}})
-        _note("check: line-embeddable")
-        return 0
+            return DOMAIN_NEGATIVE, doc, "check: no isometric embedding into the line exists"
+        return 0, doc, "check: line-embeddable"
 
     if args.plq:
         plq = plq_classify(m)
         if plq is None:
-            _emit({"command": "check", "check": "plq", "plq": False})
-            _note("check: not a pseudo-linear quadruple")
-            return DOMAIN_NEGATIVE
-        _emit({"command": "check", "check": "plq", "plq": True,
-               "s": rational_to_json(plq.s), "t": rational_to_json(plq.t),
-               "equilateral": plq.equilateral, "ordering": list(plq.ordering)})
-        _note(f"check: pseudo-linear quadruple with s={plq.s}, t={plq.t}"
-              + (" (equilateral)" if plq.equilateral else ""))
-        return 0
+            return DOMAIN_NEGATIVE, {"command": "check", "check": "plq", "plq": False}, (
+                "check: not a pseudo-linear quadruple")
+        return 0, {"command": "check", "check": "plq", "plq": True,
+                   "s": rational_to_json(plq.s), "t": rational_to_json(plq.t),
+                   "equilateral": plq.equilateral, "ordering": list(plq.ordering)}, (
+            f"check: pseudo-linear quadruple with s={plq.s}, t={plq.t}"
+            + (" (equilateral)" if plq.equilateral else ""))
 
     # --quad-ineq: the argparse group requires one of the four modes.
     q = quad_inequality(m, m.labels)
-    _emit({"command": "check", "check": "quad-ineq",
-           "ordering": list(m.labels),
-           "lhs": rational_to_json(q.lhs),
-           "bound": rational_to_json(q.bound),
-           "slack": rational_to_json(q.slack),
-           "equality": q.slack == 0})
-    _note(f"check: lhs={q.lhs} <= bound={q.bound} (slack {q.slack})")
-    return 0
+    return 0, {"command": "check", "check": "quad-ineq",
+               "ordering": list(m.labels),
+               "lhs": rational_to_json(q.lhs),
+               "bound": rational_to_json(q.bound),
+               "slack": rational_to_json(q.slack),
+               "equality": q.slack == 0}, (
+        f"check: lhs={q.lhs} <= bound={q.bound} (slack {q.slack})")
 
 
-def cmd_search(args: argparse.Namespace) -> int:
+def cmd_search(args: argparse.Namespace) -> _Outcome:
     conjecture_id = {"4.2": "C42", "4.4": "C44"}.get(args.conjecture, args.conjecture)
     report = search(conjecture_id, args.max_n, args.max_violations, args.jobs)
-    sys.stdout.write(report.to_json())
-    _note(f"search: {report.graphs_checked} graphs checked, "
-          f"{len(report.violations)} violation(s) recorded")
-    return 0 if not report.violations else DOMAIN_NEGATIVE
+    summary = (f"search: {report.graphs_checked} graphs checked, "
+               f"{len(report.violations)} violation(s) recorded")
+    return DOMAIN_NEGATIVE if report.violations else 0, report.to_json(), summary
 
 
 # ---------------------------------------------------------------------------
@@ -345,22 +304,23 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         try:
-            return args.func(args)
-        except MemoryError as exc:  # an input too large to hold or parse
+            code, doc, summary = args.func(args)
+            text = doc if isinstance(doc, str) else json_text(doc)
+        except MemoryError as exc:  # an input too large to hold, parse or encode
             raise TooLarge("out of memory on this input") from exc
     except MetricViolation as exc:
-        _emit({"error": "metric_violation", "kind": exc.kind,
-               "witness": list(exc.witness), "message": str(exc)})
-        _note(f"error: {exc}")
-        return USAGE_ERROR
+        code, summary = USAGE_ERROR, f"error: {exc}"
+        text = json_text({"error": "metric_violation", "kind": exc.kind,
+                          "witness": list(exc.witness), "message": str(exc)})
     except Disconnected as exc:
-        _emit({"error": "disconnected", "message": str(exc)})
-        _note(f"error: {exc}")
-        return DOMAIN_NEGATIVE
+        code, summary = DOMAIN_NEGATIVE, f"error: {exc}"
+        text = json_text({"error": "disconnected", "message": str(exc)})
     except _USAGE_ERRORS as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)})
-        _note(f"error: {exc}")
-        return USAGE_ERROR
+        code, summary = USAGE_ERROR, f"error: {exc}"
+        text = json_text({"error": type(exc).__name__, "message": str(exc)})
+    _emit(text)
+    sys.stderr.write(summary + "\n")
+    return code
 
 
 if __name__ == "__main__":

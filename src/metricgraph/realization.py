@@ -79,8 +79,13 @@ def verify_map(m: MetricSpace, g: Graph) -> DistanceMismatch | None:
 
 
 def aux_labels(x: str, y: str, length: int) -> list[str]:
-    """Fresh interior vertex labels for the subdivision path of pair {x, y}."""
-    lo, hi = (x, y) if x < y else (y, x)
+    """Fresh interior vertex labels for the subdivision path of pair {x, y}.
+
+    Each label has `\\` escaped as `\\\\` and `:` as `\\:` before the join, so
+    no escaped label holds an unescaped `:` and distinct pairs never share
+    a label; labels with neither character keep their bytes.
+    """
+    lo, hi = (lab.replace("\\", "\\\\").replace(":", "\\:") for lab in sorted((x, y)))
     return [f"{AUX_PREFIX}::{lo}::{hi}::{k}" for k in range(1, length)]
 
 

@@ -6,14 +6,17 @@ import ast
 import io
 import json
 import random
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
 
 import metricgraph
-from metricgraph import Graph, cycle_graph, dump_graph, dump_metric, geodesic_metric, parse_graph, path_graph
-from metricgraph.cli import main
+from metricgraph import (Graph, cycle_graph, dump_graph, dump_metric, geodesic_metric, parse_graph,
+                         parse_metric, path_graph)
+from metricgraph.cli import build_parser, main
+from metricgraph.quadruples import ConjectureReport, check_graph
 
 import randgen
 
@@ -410,13 +413,30 @@ def test_out_of_memory_on_input_is_too_large(tmp_path, capsys, monkeypatch):
     def exhausted(path):
         raise MemoryError
 
+    encode = cli.json_text
+    encoded = []
+
+    def exhausted_once(doc):
+        encoded.append(doc)
+        if len(encoded) == 1:
+            raise MemoryError
+        return encode(doc)
+
     metric = write(tmp_path, "e.json", EGYPTIAN_JSON)
-    monkeypatch.setattr(cli, "_read_input", exhausted)
-    for argv in (("validate", metric), ("distances", metric), ("check", "--mb", metric)):
-        code, out, err = run(capsys, *argv)
-        assert code == 2, argv
-        assert json.loads(out) == {"error": "TooLarge", "message": "out of memory on this input"}, argv
-        assert "Traceback" not in err, argv
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_read_input", exhausted)
+        for argv in (("validate", metric), ("distances", metric), ("check", "--mb", metric)):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert json.loads(out) == {"error": "TooLarge", "message": "out of memory on this input"}, argv
+            assert "Traceback" not in err, argv
+    # Encoding the success document runs out of memory: still one error document.
+    monkeypatch.setattr(cli, "json_text", exhausted_once)
+    code, out, err = run(capsys, "embed", metric)
+    assert encoded[0]["command"] == "embed" and encoded[0]["verified"] is True
+    assert code == 2
+    assert json.loads(out) == {"error": "TooLarge", "message": "out of memory on this input"}
+    assert "Traceback" not in err
 
 
 def test_check_json_array_is_not_read_as_a_matrix(tmp_path, capsys):
@@ -505,6 +525,96 @@ def test_json_dumps_is_called_only_by_the_encoder():
     for path in sorted(Path(metricgraph.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.name, "<module>")
     assert callers == [("metric.py", "json_text")]
+
+
+def test_only_emit_writes_stdout_and_only_main_writes_stderr():
+    """`cli.main` is the one writer: it hands the document to `_emit` and
+    writes the summary line itself, so every command's output is one
+    document on stdout and one line on stderr."""
+    writers = []
+
+    def visit(node: ast.AST, module: str, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "sys" and node.attr.strip("_") in ("stdout", "stderr")):
+            writers.append((module, owner, node.attr.strip("_")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+            writers.append((module, owner, "print"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path in sorted(Path(metricgraph.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, "<module>")
+    assert writers == [("cli.py", "_emit", "stdout"), ("cli.py", "main", "stderr")]
+
+
+def test_readme_cli_examples_parse():
+    """Each `metricgraph ...` line of README's CLI block is a valid command line."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("metricgraph ")]
+    subcommands = set()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        subcommands.add(build_parser().parse_args(argv).subcommand)
+    assert subcommands == {"validate", "realize", "embed", "ceil-embed", "distances", "check", "search"}
+
+
+def _one_c44_violation(conjecture_id, max_n, max_violations, jobs):
+    """A report with the smallest recorded C44 counterexample (n = 8),
+    without the seconds-long sweep that finds it."""
+    g = Graph.from_edges([f"v{i}" for i in range(8)],
+                         [(0, 6), (0, 7), (1, 5), (1, 7), (2, 4), (2, 6), (3, 4), (3, 5)])
+    return ConjectureReport(conjecture_id, max_n, 1, tuple(check_graph(conjecture_id, g)))
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ("validate {p4}", 0), ("validate {egy}", 1), ("validate {asym}", 1),
+    ("validate {half}", 1), ("validate {bad}", 2),
+    ("realize {p4}", 0), ("realize {d2}", 1), ("realize {d2} --fallback-embed --require-onto", 1),
+    ("realize {half}", 2), ("realize {p4} --out {dir}", 2),
+    ("embed {egy}", 0), ("embed {egy} --require-onto", 1), ("embed {huge}", 2),
+    ("embed {asym}", 2), ("embed {egy} --out {dir}", 2), ("embed {egy} --map {dir}", 2),
+    ("ceil-embed {egy}", 0), ("ceil-embed {egy} --require-onto", 1), ("ceil-embed {huge}", 2),
+    ("ceil-embed {egy} --out {dir}", 2),
+    ("distances {c5}", 0), ("distances --format text {c5txt}", 0), ("distances {iso}", 1),
+    ("distances {bad}", 2),
+    ("check --mb {p4}", 0), ("check --mb {c5}", 1), ("check --mb {iso}", 1),
+    ("check --line {p4}", 0), ("check --line {c5}", 1),
+    ("check --plq {c8} v0 v2 v4 v6", 0), ("check --plq {c8} v0 v1 v2 v3", 1),
+    ("check --quad-ineq {p4}", 0), ("check --quad-ineq {p4} a", 2),
+    ("search --conjecture 4.2 --max-n 5", 0), ("search --conjecture 4.4 --max-n 8", 1),
+    ("search --conjecture 9.9", 2),
+])
+def test_output_protocol(tmp_path, capsys, monkeypatch, argv, expected):
+    """Whatever the exit code, stdout is exactly one document and stderr
+    exactly one summary line."""
+    import metricgraph.cli as cli
+
+    files = {
+        "p4": dump_metric(geodesic_metric(path_graph(4))),
+        "egy": EGYPTIAN_JSON,
+        "asym": '{"points": ["a", "b"], "distances": [[0,1],[2,0]]}',
+        "half": '{"points": ["a", "b"], "distances": [[0,"1/2"],["1/2",0]]}',
+        "d2": '{"points": ["a", "b"], "distances": [[0,2],[2,0]]}',
+        "huge": '{"points": ["a", "b"], "distances": [[0,"1e100000"],["1e100000",0]]}',
+        "bad": "{nope",
+        "c5": dump_graph(cycle_graph(5)),
+        "c5txt": dump_graph(cycle_graph(5), "text"),
+        "c8": dump_graph(cycle_graph(8)),
+        "iso": '{"vertices": ["a", "b"], "edges": []}',
+    }
+    paths = {name: write(tmp_path, f"{name}.in", text) for name, text in files.items()}
+    if argv.startswith("search --conjecture 4.4"):
+        monkeypatch.setattr(cli, "search", _one_c44_violation)
+    code, out, err = run(capsys, *argv.format(dir=tmp_path, **paths).split())
+    assert code == expected
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    if "--format text" in argv:
+        assert parse_metric(out, "matrix").n == 5
+    else:
+        json.loads(out)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,21 @@ def test_embed_aux_labels_fresh_and_disjoint(seed):
     assert set(r.graph.vertex_labels) == seen
 
 
+@pytest.mark.parametrize("labels", [
+    ["a::b", "c", "a", "b::c"],
+    ["a\\", "\\:b", "a\\::b", ":b\\", "a", "b", "a:", "\\"],
+])
+def test_aux_labels_of_labels_with_colons_and_backslashes(labels):
+    """Joined unescaped, the pairs (a::b, c) and (a, b::c) both named their
+    one interior vertex `__aux::a::b::c::1`, and embed failed on a valid metric."""
+    n = len(labels)
+    m = MetricSpace.from_rows(labels, [[0 if i == j else 2 for j in range(n)] for i in range(n)])
+    for r in (embed(m), ceil_embed(m)):
+        assert r.aux_count == n * (n - 1) // 2
+        assert verify_map(m, r.graph) is None
+    assert aux_labels("a::b", "c", 2) != aux_labels("a", "b::c", 2)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32))
 def test_kay_chartrand_pass_iff_no_aux(seed):
