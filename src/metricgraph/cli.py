@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .errors import (
     ConditionFailed,
@@ -238,8 +239,15 @@ def cmd_search(args: argparse.Namespace) -> _Outcome:
 # Parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as `ParseError`, so `main` writes it as one document."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="metricgraph",
         description="Realize and embed finite metric spaces as graph geodesic metrics.",
     )
@@ -300,10 +308,9 @@ _USAGE_ERRORS = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
         try:
+            args = build_parser().parse_args(argv)
             code, doc, summary = args.func(args)
             text = doc if isinstance(doc, str) else json_text(doc)
         except MemoryError as exc:  # an input too large to hold, parse or encode

@@ -123,14 +123,15 @@ def cycle_graph(n: int) -> Graph:
 # BFS distances and paths
 # ---------------------------------------------------------------------------
 
-def _bfs_from(g: Graph, src: int) -> list[int | None]:
-    dist: list[int | None] = [None] * g.n
+def _bfs_from(adjacency: tuple[tuple[int, ...], ...] | list[list[int]], src: int) -> list[int | None]:
+    """Edge counts from src over the neighbour lists `adjacency`, None if unreached."""
+    dist: list[int | None] = [None] * len(adjacency)
     dist[src] = 0
     queue = deque([src])
     while queue:
         u = queue.popleft()
         du = dist[u]
-        for v in g.adjacency[u]:
+        for v in adjacency[u]:
             if dist[v] is None:
                 dist[v] = du + 1  # type: ignore[operator]
                 queue.append(v)
@@ -142,24 +143,23 @@ def geodesic_distances(g: Graph) -> DistanceMatrix:
 
     Entries are None exactly for vertex pairs in different components.
     """
-    return tuple(tuple(_bfs_from(g, s)) for s in range(g.n))
+    return tuple(tuple(_bfs_from(g.adjacency, s)) for s in range(g.n))
 
 
 def is_connected(g: Graph) -> bool:
-    return all(v is not None for v in _bfs_from(g, 0))
+    return all(v is not None for v in _bfs_from(g.adjacency, 0))
 
 
 def connected_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
     """BFS rows of a connected graph, a metric by construction (Kay and
     Chartrand, 1964); the tests validate them for every connected class
-    with n <= 7, and check the sweep kernels' bit-parallel rows against
-    them.  Raises
-    `Disconnected` when vertex 0's row leaves a vertex unreached, before
-    any other BFS runs."""
-    first = _bfs_from(g, 0)
+    with n <= 7.  The sweep kernels' rows come from the same `_bfs_from`.
+    Raises `Disconnected` when vertex 0's row leaves a vertex unreached,
+    before any other BFS runs."""
+    first = _bfs_from(g.adjacency, 0)
     if None in first:
         raise Disconnected("geodesic metric requires a connected graph")
-    return (tuple(first), *(tuple(_bfs_from(g, s)) for s in range(1, g.n)))  # type: ignore[return-value]
+    return (tuple(first), *(tuple(_bfs_from(g.adjacency, s)) for s in range(1, g.n)))  # type: ignore[return-value]
 
 
 def geodesic_metric(g: Graph) -> MetricSpace:
@@ -176,7 +176,7 @@ def shortest_path(g: Graph, x: str, z: str) -> list[str]:
     lowest-index neighbor one BFS level closer to x.
     """
     src, dst = g.index(x), g.index(z)
-    dist = _bfs_from(g, src)
+    dist = _bfs_from(g.adjacency, src)
     if dist[dst] is None:
         raise Disconnected(f"no path joins {excerpt(x)} and {excerpt(z)}")
     rev = [dst]

@@ -106,9 +106,8 @@ def find_metric_violation(
     triangle test when t[i][j] is at most the row minimum of
     t[i][k] + t[j][k] over all k; row j stands in for column j because
     symmetry is checked first, and k = i or k = j gives exactly t[i][j].
-    Only a failing pair is rescanned k by k on the original values, so the
-    first violation, its witness and its message are those of the plain
-    triple loop.
+    A failing pair's witness is its first k on t, as in the plain triple
+    loop, since scaling by L > 0 keeps every comparison.
 
     Raises `TooLarge` when L or an entry of t has more than `MAX_DIGITS`
     digits; L is built one denominator at a time and stops there.
@@ -151,15 +150,12 @@ def find_metric_violation(
         for j in range(i + 1, n):
             if ti[j] <= min(map(operator.add, ti, t[j])):
                 continue
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if dist[i][j] > dist[i][k] + dist[k][j]:
-                    return MetricViolation(
-                        "triangle", (i, j, k),
-                        f"d[{i}][{j}] = {dist[i][j]} > "
-                        f"{dist[i][k]} + {dist[k][j]} = d[{i}][{k}] + d[{k}][{j}]",
-                    )
+            k = next(k for k in range(n) if ti[j] > ti[k] + t[j][k])
+            return MetricViolation(
+                "triangle", (i, j, k),
+                f"d[{i}][{j}] = {dist[i][j]} > "
+                f"{dist[i][k]} + {dist[k][j]} = d[{i}][{k}] + d[{k}][{j}]",
+            )
     return None
 
 

@@ -36,7 +36,7 @@ from .errors import (
     WrongArity,
     excerpt,
 )
-from .graph import Graph, graph_doc
+from .graph import Graph, _bfs_from, graph_doc
 from .metric import MetricSpace, Rational, json_text
 
 
@@ -177,32 +177,12 @@ def quad_inequality(m: MetricSpace, ordering: Iterable[str]) -> QuadInequality:
 # ---------------------------------------------------------------------------
 
 def _distance_rows(n: int, nbr: list[int]) -> list[list[int]]:
-    """BFS rows of the connected graph whose vertex v has neighbour bitmask
-    nbr[v], one whole level at a time: the next level is the union of the
-    frontier's neighbours, less the vertices already seen.  These are the
-    rows of `connected_distances`, a metric by construction (Kay and
-    Chartrand, 1964), so the kernels read them unvalidated."""
-    rows = []
-    for src in range(n):
-        row = [0] * n
-        seen = frontier = 1 << src
-        level = 0
-        while frontier:
-            level += 1
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= nbr[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & ~seen
-            seen |= frontier
-            new = frontier
-            while new:
-                low = new & -new
-                row[low.bit_length() - 1] = level
-                new ^= low
-        rows.append(row)
-    return rows
+    """`_bfs_from` rows of the connected graph whose vertex v has neighbour
+    bitmask nbr[v]: the rows of `connected_distances`, a metric by
+    construction (Kay and Chartrand, 1964), so the kernels read them
+    unvalidated."""
+    adjacency = [[j for j in range(n) if x >> j & 1] for x in nbr]
+    return [_bfs_from(adjacency, s) for s in range(n)]  # type: ignore[misc]
 
 
 def _diameter_below_4(n: int, nbr: list[int]) -> bool:

@@ -67,7 +67,7 @@ def verify_map(m: MetricSpace, g: Graph) -> DistanceMismatch | None:
     """
     at = [g.index(lab) for lab in m.labels]
     for i, x in enumerate(m.labels):
-        dist = _bfs_from(g, at[i])
+        dist = _bfs_from(g.adjacency, at[i])
         if i == 0 and None in dist:
             raise Disconnected("verification requires a connected host graph")
         row = m.dist[i]

@@ -586,10 +586,11 @@ def _one_c44_violation(conjecture_id, max_n, max_violations, jobs):
     ("check --quad-ineq {p4}", 0), ("check --quad-ineq {p4} a", 2),
     ("search --conjecture 4.2 --max-n 5", 0), ("search --conjecture 4.4 --max-n 8", 1),
     ("search --conjecture 9.9", 2),
+    ("search --conjecture 4.2 --max-n x", 2), ("embed {egy} --bogus", 2), ("check {p4}", 2), ("", 2),
 ])
 def test_output_protocol(tmp_path, capsys, monkeypatch, argv, expected):
-    """Whatever the exit code, stdout is exactly one document and stderr
-    exactly one summary line."""
+    """Whatever the exit code, argparse usage errors included, stdout is
+    exactly one document and stderr exactly one summary line."""
     import metricgraph.cli as cli
 
     files = {
@@ -669,5 +670,6 @@ def test_missing_file(capsys):
 
 def test_check_requires_mode(tmp_path, capsys):
     path = write(tmp_path, "c4.json", dump_graph(cycle_graph(4)))
-    with pytest.raises(SystemExit):
-        main(["check", path])
+    code, out, _ = run(capsys, "check", path)
+    assert code == 2
+    assert json.loads(out)["error"] == "ParseError"

@@ -111,9 +111,16 @@ def test_single_edge_and_isolated():
 
 
 def test_distances_match_oracle_on_enumerated_graphs():
-    for n in range(1, 6):
-        for g in oracles.class_graphs(n):
-            assert [list(r) for r in geodesic_distances(g)] == oracles.brute_distance_matrix(g)
+    """The one BFS, reached through a `Graph` and through the sweep
+    kernels' neighbour bitmasks, against exhaustive path search on every
+    connected class with n <= 7."""
+    from metricgraph import quadruples
+
+    for n in range(1, 8):
+        for g, (_, nbr) in zip(oracles.class_graphs(n), oracles.class_nodes(n)):
+            brute = oracles.brute_distance_matrix(g)
+            assert [list(r) for r in geodesic_distances(g)] == brute
+            assert quadruples._distance_rows(n, nbr) == brute, g
 
 
 def test_is_connected():

@@ -392,14 +392,16 @@ def grid_graph(r: int, c: int) -> Graph:
 
 def test_checkers_match_the_two_sided_routes():
     """Each checker tests only the direction that can fail, on the kernel's
-    bit-parallel BFS rows; the routes that test both (C44 on every
+    rows from neighbour bitmasks; the routes that test both (C44 on every
     4-subset), on the rows of `connected_distances`, give the same output
     on every class with n <= 7, C4..C16, P4..P16, the r x c grids with
     2 <= r, c <= 5 and 1000 seeded sparse graphs, a set with at least 50
     C44 violations.  On the n = 8 classes too, C44 only where the diameter
-    is at least 4, the only classes it does not skip.  On all of them the
-    kernel's rows equal `connected_distances`, and its diameter test
-    agrees with the rows."""
+    is at least 4, the only classes it does not skip.  Both sides' rows
+    come from `graph._bfs_from`, so their equality here checks the
+    bitmask-to-list step (`test_distances_match_oracle_on_enumerated_graphs`
+    checks the BFS against exhaustive path search), and the kernel's
+    diameter test agrees with the rows."""
     rng = random.Random(20261018)
     graphs = [g for n in range(2, 8) for g in oracles.class_graphs(n)]
     graphs += [f(n) for f in (cycle_graph, path_graph) for n in range(4, 17)]
@@ -596,21 +598,23 @@ def test_search_pool_follows_the_cpu_affinity(monkeypatch):
 
 def test_sweeps_compute_rows_and_graphs_only_where_needed(monkeypatch):
     """At n <= 7 the kernel computes BFS rows for C42 only on the cycles
-    with n >= 5, and for C44 only on the classes of diameter >= 4; no class
-    violates, so no `Graph` is built."""
+    with n >= 5, and for C44 only on the classes of diameter >= 4, one BFS
+    per vertex of each; no class violates, so no `Graph` is built."""
     calls = Counter()
-    rows, build = quadruples._distance_rows, quadruples.graph_from_mask
+    rows, bfs, build = quadruples._distance_rows, quadruples._bfs_from, quadruples.graph_from_mask
     monkeypatch.setattr(quadruples, "_distance_rows", lambda n, nbr: calls.update(["rows"]) or rows(n, nbr))
+    monkeypatch.setattr(quadruples, "_bfs_from", lambda adj, src: calls.update(["bfs"]) or bfs(adj, src))
     monkeypatch.setattr(quadruples, "graph_from_mask", lambda n, mask: calls.update(["graph"]) or build(n, mask))
     graphs = [g for n in range(3, 8) for g in oracles.class_graphs(n)]
-    c42_rows = sum(s.is_cycle and s.size >= 5 for s in map(classify_shape, graphs))
-    c44_rows = sum(max(map(max, connected_distances(g))) >= 4 for g in graphs)
-    assert (c42_rows, c44_rows) == (3, 102)  # of 994 and 992 classes
+    c42 = [g for g in graphs if classify_shape(g).is_cycle and g.n >= 5]
+    c44 = [g for g in graphs if max(map(max, connected_distances(g))) >= 4]
+    c42_bfs, c44_bfs = sum(g.n for g in c42), sum(g.n for g in c44)
+    assert (len(c42), len(c44), c42_bfs, c44_bfs) == (3, 102, 18, 703)  # of 994 and 992 classes
     assert search("C42", 7).graphs_checked == 994
-    assert calls == {"rows": c42_rows}
+    assert calls == {"rows": len(c42), "bfs": c42_bfs}
     calls.clear()
     assert search("C44", 7).graphs_checked == 992
-    assert calls == {"rows": c44_rows}
+    assert calls == {"rows": len(c44), "bfs": c44_bfs}
 
 
 def test_pooled_search_matches_in_process_at_n8(monkeypatch):
