@@ -6,7 +6,9 @@ turns each typed error into such an outcome too, and is the only writer:
 one document to stdout, one summary line to stderr.  Exit codes: 0 =
 success / positive result, 1 = domain-level negative result (condition
 fails, violations found, disconnected input) with a witness in the
-document, 2 = usage or parse error.
+document, 2 = no answer: a usage, parse or size error, or a failed
+self-verification (a bug), each written as one document named by its
+error class.
 """
 
 from __future__ import annotations
@@ -18,19 +20,7 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from .errors import (
-    ConditionFailed,
-    Disconnected,
-    EmptyGraph,
-    EmptySubset,
-    MetricViolation,
-    NotIntegerMetric,
-    ParseError,
-    TooLarge,
-    TooSmall,
-    UnknownLabel,
-    WrongArity,
-)
+from .errors import ConditionFailed, Disconnected, MetricGraphError, MetricViolation, ParseError, TooLarge
 from .graph import dump_graph, geodesic_metric, graph_doc, parse_graph
 from .metric import MetricSpace, dump_metric, is_integer_metric, json_text, kay_chartrand_check, parse_metric, rational_to_json
 from .quadruples import line_embed, mb_check, plq_classify, quad_inequality, search
@@ -301,12 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_USAGE_ERRORS = (
-    ParseError, UnknownLabel, WrongArity, TooLarge, TooSmall,
-    NotIntegerMetric, EmptySubset, EmptyGraph, OSError,
-)
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         try:
@@ -322,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     except Disconnected as exc:
         code, summary = DOMAIN_NEGATIVE, f"error: {exc}"
         text = json_text({"error": "disconnected", "message": str(exc)})
-    except _USAGE_ERRORS as exc:
+    except (MetricGraphError, OSError) as exc:
         code, summary = USAGE_ERROR, f"error: {exc}"
         text = json_text({"error": type(exc).__name__, "message": str(exc)})
     _emit(text)

@@ -19,9 +19,7 @@ representative is therefore exactly the graph whose bitmask equals its own
 canonical form.  The walker yields tree nodes (mask, nbr), the mask and
 the rows as neighbour bitmasks; `graph_from_mask(n, mask)` builds the
 `Graph` of a node when one is wanted.  The tree is walked in mask order
-and no level is held: on a shared 2-core VM, n = 9 (261 080 classes)
-takes 2-2.5 minutes, yields its first class within 2 s and peaks at
-16 MB RSS; n = 8 takes seconds.
+and no level is held.
 
 A sweep over several n runs as shards (`split_trees`): subtrees of the
 trees, cut where one heap over all n says the pending subtree is widest.

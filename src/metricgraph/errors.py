@@ -75,7 +75,8 @@ class TooLarge(MetricGraphError):
 
 
 class TooSmall(MetricGraphError):
-    """Graph has fewer vertices than the operation needs."""
+    """A size or count is below what the operation needs: a graph's
+    vertex count, or a sweep's max_n, jobs or max_violations."""
 
 
 class WrongArity(MetricGraphError):

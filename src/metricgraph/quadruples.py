@@ -444,7 +444,8 @@ def search(
 ) -> ConjectureReport:
     """Run a conjecture checker across every connected isomorphism class
     up to max_n vertices, smallest vertex count first; `TooSmall` when
-    max_n is below the conjecture's smallest checkable n (4 for C44).
+    max_n is below the conjecture's smallest checkable n (3 for C42, 4
+    for C44), `TooLarge` above `HARD_CAP`.
 
     Read's trees are split into at least 32 shards per job
     (`split_trees`), and each shard is walked and checked where it runs:
@@ -455,7 +456,7 @@ def search(
     """
     if conjecture_id not in _CONJECTURES:
         raise ParseError(f"unknown conjecture id {excerpt(conjecture_id)}; use C42 or C44")
-    if not 3 <= max_n <= HARD_CAP:
+    if max_n > HARD_CAP:
         raise TooLarge(f"search needs 3 <= max_n <= {HARD_CAP}, got {max_n}")
     min_n = _CONJECTURES[conjecture_id][0]
     if max_n < min_n:

@@ -16,7 +16,9 @@ import metricgraph
 from metricgraph import (Graph, cycle_graph, dump_graph, dump_metric, geodesic_metric, parse_graph,
                          parse_metric, path_graph)
 from metricgraph.cli import build_parser, main
+from metricgraph.errors import ConditionFailed, Disconnected, MetricGraphError, MetricViolation
 from metricgraph.quadruples import ConjectureReport, check_graph
+from metricgraph.realization import DistanceMismatch
 
 import randgen
 
@@ -569,6 +571,20 @@ def _one_c44_violation(conjecture_id, max_n, max_violations, jobs):
     return ConjectureReport(conjecture_id, max_n, 1, tuple(check_graph(conjecture_id, g)))
 
 
+def _unverified(m, g):
+    """A `verify_map` that reports the first pair one unit too far apart."""
+    x, y = m.labels[:2]
+    return DistanceMismatch((x, y), m.d(x, y), m.d(x, y) + 1)
+
+
+# Cases that run with a library function patched.  The unverified embed
+# spells out the default `--format json` to tell it from `embed {egy}`.
+_PATCHES = {
+    "search --conjecture 4.4 --max-n 8": ("metricgraph.cli.search", _one_c44_violation),
+    "embed {egy} --format json": ("metricgraph.realization.verify_map", _unverified),
+}
+
+
 @pytest.mark.parametrize("argv, expected", [
     ("validate {p4}", 0), ("validate {egy}", 1), ("validate {asym}", 1),
     ("validate {half}", 1), ("validate {bad}", 2),
@@ -587,12 +603,13 @@ def _one_c44_violation(conjecture_id, max_n, max_violations, jobs):
     ("search --conjecture 4.2 --max-n 5", 0), ("search --conjecture 4.4 --max-n 8", 1),
     ("search --conjecture 9.9", 2),
     ("search --conjecture 4.2 --max-n x", 2), ("embed {egy} --bogus", 2), ("check {p4}", 2), ("", 2),
+    ("embed {egy} --format json", (2, "InternalVerificationFailure")),
+    ("search --conjecture 4.4 --max-n 2", (2, "TooSmall")),
 ])
 def test_output_protocol(tmp_path, capsys, monkeypatch, argv, expected):
-    """Whatever the exit code, argparse usage errors included, stdout is
-    exactly one document and stderr exactly one summary line."""
-    import metricgraph.cli as cli
-
+    """Whatever the exit code, argparse usage errors and a failed
+    self-verification included, stdout is exactly one document and stderr
+    exactly one summary line.  An `expected` pair also names the error."""
     files = {
         "p4": dump_metric(geodesic_metric(path_graph(4))),
         "egy": EGYPTIAN_JSON,
@@ -607,15 +624,44 @@ def test_output_protocol(tmp_path, capsys, monkeypatch, argv, expected):
         "iso": '{"vertices": ["a", "b"], "edges": []}',
     }
     paths = {name: write(tmp_path, f"{name}.in", text) for name, text in files.items()}
-    if argv.startswith("search --conjecture 4.4"):
-        monkeypatch.setattr(cli, "search", _one_c44_violation)
+    if argv in _PATCHES:
+        monkeypatch.setattr(*_PATCHES[argv])
+    expected_code, expected_error = expected if isinstance(expected, tuple) else (expected, None)
     code, out, err = run(capsys, *argv.format(dir=tmp_path, **paths).split())
-    assert code == expected
+    assert code == expected_code
     assert err.endswith("\n") and err.count("\n") == 1, err
     if "--format text" in argv:
         assert parse_metric(out, "matrix").n == 5
     else:
-        json.loads(out)
+        doc = json.loads(out)
+        assert expected_error is None or doc["error"] == expected_error
+
+
+def _error_classes(base: type = MetricGraphError) -> list[type]:
+    return [base, *(c for sub in base.__subclasses__() for c in _error_classes(sub))]
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+def test_every_typed_error_is_one_document(tmp_path, capsys, monkeypatch, cls):
+    """Any `MetricGraphError` a command raises leaves one document named
+    by `main`'s clause for it: the two special documents, or the class
+    name with exit 2.  A class that `main` leaves out fails here."""
+    if cls is MetricViolation:
+        exc, code, name = cls("triangle", (0, 1, 2), "triangle fails"), 2, "metric_violation"
+    elif cls is Disconnected:
+        exc, code, name = cls("not connected"), 1, "disconnected"
+    else:
+        exc = cls(("a", "b")) if cls is ConditionFailed else cls("raised by the command")
+        code, name = 2, cls.__name__
+
+    def raise_it(args):
+        raise exc
+
+    monkeypatch.setattr("metricgraph.cli.cmd_validate", raise_it)
+    got, out, err = run(capsys, "validate", write(tmp_path, "p.json", "{}"))
+    assert got == code
+    assert json.loads(out)["error"] == name
+    assert err == f"error: {exc}\n"
 
 
 # ---------------------------------------------------------------------------

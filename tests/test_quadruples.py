@@ -510,7 +510,7 @@ def test_sweeps_build_and_validate_no_metric(monkeypatch):
 
 
 def test_search_bounds():
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooSmall, match="max_n >= 3"):  # nothing exceeds a cap
         search("C42", 2, 10)
     with pytest.raises(TooLarge):
         search("C42", 10, 10)
