@@ -121,7 +121,7 @@ def _search(n: int, nbr: list[int], best: list[int], stop: bool) -> bool:
     return n > 1 and extend(0, [(v, 0) for v in range(n)], range(n))
 
 
-def canonical_form(g: Graph, max_vertices: int = HARD_CAP) -> bytes:
+def canonical_form(g: Graph) -> bytes:
     """Minimum adjacency bit string over all vertex permutations, as bytes.
 
     Exact: starts from the graph's own labeling and prunes only placement
@@ -129,8 +129,8 @@ def canonical_form(g: Graph, max_vertices: int = HARD_CAP) -> bytes:
     Equal byte strings <=> isomorphic.
     """
     n = g.n
-    if n > max_vertices:
-        raise TooLarge(f"canonical form capped at {max_vertices} vertices, got {n}")
+    if n > HARD_CAP:
+        raise TooLarge(f"canonical form capped at {HARD_CAP} vertices, got {n}")
     nbr = [sum(1 << j for j in g.adjacency[i]) for i in range(n)]
     # the graph's own string: column k is vertex k's adjacency to 0..k-1, vertex 0 first
     best = [sum((nbr[k] >> i & 1) << (k - 1 - i) for i in range(k)) for k in range(n)]

@@ -163,10 +163,10 @@ def connected_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 def geodesic_metric(g: Graph) -> MetricSpace:
-    """The geodesic distance as a MetricSpace of `int` BFS edge counts,
-    validated by its constructor like any other table: one call per CLI
+    """The geodesic distance as a MetricSpace of `int` BFS edge counts, a
+    metric by construction and so not re-validated: one call per CLI
     request.  Raises `Disconnected` as `connected_distances` does."""
-    return MetricSpace(g.vertex_labels, connected_distances(g))
+    return MetricSpace._of_metric(g.vertex_labels, connected_distances(g))
 
 
 def shortest_path(g: Graph, x: str, z: str) -> list[str]:

@@ -5,7 +5,8 @@ Distances are exact rationals: an integral distance is stored as a Python
 `.numerator` and `.denominator`).  No floating point is used anywhere, so
 strict inequalities (needed by the ceiling-embedding distortion bound) are
 decided exactly.  A `MetricSpace` validates all three metric axioms at
-construction time and is immutable afterwards.
+construction time, except where the package builds a metric by
+construction, and is immutable afterwards.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from itertools import chain
 from typing import Iterator
 
 from .errors import (
-    InternalVerificationFailure,
     MetricViolation,
     NotIntegerMetric,
     ParseError,
@@ -222,6 +222,16 @@ class MetricSpace:
         dist = tuple(tuple(parse_rational(v) for v in row) for row in rows)
         return cls(tuple(labels), dist)
 
+    @classmethod
+    def _of_metric(cls, labels: tuple[str, ...], dist: tuple[tuple[Rational, ...], ...]) -> "MetricSpace":
+        """A space on a table that is a metric by construction: the labels are
+        checked, and the axiom scan is skipped."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "labels", labels)
+        object.__setattr__(m, "dist", dist)
+        object.__setattr__(m, "_index", label_index(labels, "point"))
+        return m
+
     @property
     def n(self) -> int:
         return len(self.labels)
@@ -303,16 +313,11 @@ def kay_chartrand_check(m: MetricSpace) -> tuple[str, str] | None:
 def ceiling_metric(m: MetricSpace) -> MetricSpace:
     """Round every distance up to the nearest integer.
 
-    The result is itself a metric; this is re-validated on construction and
-    a failure is promoted to an internal error since it can only mean a bug.
+    The result is itself a metric, as ceil(a + b) <= ceil(a) + ceil(b), so
+    it is not re-validated; `ceil_embed`'s BFS check of its host graph
+    would catch a bad table anyway.
     """
-    rows = tuple(tuple(math.ceil(v) for v in row) for row in m.dist)
-    try:
-        return MetricSpace(m.labels, rows)
-    except MetricViolation as exc:  # pragma: no cover - unreachable for metrics
-        raise InternalVerificationFailure(
-            f"ceiling of a metric failed validation: {exc}"
-        ) from exc
+    return MetricSpace._of_metric(m.labels, tuple(tuple(math.ceil(v) for v in row) for row in m.dist))
 
 
 # ---------------------------------------------------------------------------

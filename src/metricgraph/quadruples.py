@@ -234,18 +234,12 @@ def _c44_witnesses(n: int, nbr: list[int]) -> list[tuple[int, int, int, int]]:
     return sorted(quads)
 
 
-def _witnesses(conjecture_id: str, n: int, nbr: list[int]) -> list[tuple[int, ...]]:
-    """The kernel that `search` runs on every class: the index witnesses of
-    the class's violations, in report order."""
-    return _c42_witnesses(n, nbr) if conjecture_id == "C42" else _c44_witnesses(n, nbr)
-
-
 # ---------------------------------------------------------------------------
 # Conjecture checkers
 # ---------------------------------------------------------------------------
 
-# conjecture id -> (smallest checkable n, the one direction that can fail)
-_CONJECTURES = {"C42": (3, "mb_implies_shape"), "C44": (4, "ii_implies_i")}
+# conjecture id -> (kernel, smallest checkable n, the one direction that can fail)
+_CONJECTURES = {"C42": (_c42_witnesses, 3, "mb_implies_shape"), "C44": (_c44_witnesses, 4, "ii_implies_i")}
 
 
 @dataclass(frozen=True)
@@ -258,7 +252,7 @@ class ConjectureViolation:
 
 def _violations(conjecture_id: str, g: Graph, witnesses: list[tuple[int, ...]]) -> list[ConjectureViolation]:
     labels = g.vertex_labels
-    direction = _CONJECTURES[conjecture_id][1]
+    direction = _CONJECTURES[conjecture_id][2]
     return [ConjectureViolation(conjecture_id, g, tuple(labels[i] for i in w), direction)
             for w in witnesses]
 
@@ -346,7 +340,7 @@ def check_conjecture_44(g: Graph) -> list[ConjectureViolation]:
 # Search harness
 # ---------------------------------------------------------------------------
 
-Keyed = tuple[tuple[int, int], ConjectureViolation]  # a violation and its graph's (n, mask)
+Record = tuple[int, int, tuple[int, ...]]  # a violating class's n and mask, and one index witness
 
 
 @dataclass(frozen=True)
@@ -376,7 +370,7 @@ class ConjectureReport:
 
 
 def check_graph(conjecture_id: str, g: Graph) -> list[ConjectureViolation]:
-    """The check that `search` runs on every class."""
+    """`check_conjecture_42` or `check_conjecture_44` on g, as a list."""
     if conjecture_id == "C42":
         v = check_conjecture_42(g)
         return [] if v is None else [v]
@@ -392,39 +386,37 @@ def replay_violation(v: ConjectureViolation) -> bool:
     return v.conjecture_id in _CONJECTURES and v in check_graph(v.conjecture_id, v.graph)
 
 
-def _check_shard(conjecture_id: str, max_violations: int, shard: Shard) -> tuple[int, list[Keyed]]:
+def _check_shard(conjecture_id: str, max_violations: int, shard: Shard) -> tuple[int, list[Record]]:
     """Per-shard work item of `search`: walk the shard's roots, run the
-    kernel on every class's neighbour bitmasks, and return the class count
-    and the first max_violations violations, each keyed by its graph's
-    (n, mask).  A `Graph` is built only for a violating class."""
+    conjecture's kernel on every class's neighbour bitmasks, and return the
+    class count and the first max_violations (n, mask, witness) records."""
+    kernel = _CONJECTURES[conjecture_id][0]
     classes = 0
-    kept: list[Keyed] = []
+    records: list[Record] = []
     for n, root in shard:
         for mask, nbr in enumerate_connected_graphs(n, root):
             classes += 1
-            witnesses = _witnesses(conjecture_id, n, nbr)
-            if witnesses:
-                g = graph_from_mask(n, mask)
-                kept += [((n, mask), v) for v in
-                         _violations(conjecture_id, g, witnesses[: max_violations - len(kept)])]
-    return classes, kept
+            if witnesses := kernel(n, nbr):
+                records += [(n, mask, w) for w in witnesses[: max_violations - len(records)]]
+    return classes, records
 
 
 def assemble_report(
     conjecture_id: str,
     max_n: int,
-    per_shard: Iterable[tuple[int, list[Keyed]]],
+    per_shard: Iterable[tuple[int, list[Record]]],
     max_violations: int,
 ) -> ConjectureReport:
-    """Sum the shards' class counts and keep the first max_violations of
-    their violations in (n, mask) order, whatever order the shards came in."""
-    checked = 0
-    keyed: list[Keyed] = []
-    for classes, kept in per_shard:
-        checked += classes
-        keyed += kept
-    keyed.sort(key=lambda kv: kv[0])  # stable: one graph's violations keep their order
-    return ConjectureReport(conjecture_id, max_n, checked, tuple(v for _, v in keyed[:max_violations]))
+    """Sum the shards' class counts, keep the first max_violations of their
+    records in (n, mask) order, whatever order the shards came in (a stable
+    sort: one class's witnesses keep their order), and build one `Graph`
+    per kept class for its violations."""
+    shards = list(per_shard)
+    records = sorted((r for _, kept in shards for r in kept), key=lambda r: r[:2])
+    violations: list[ConjectureViolation] = []
+    for (n, mask), group in itertools.groupby(records[:max_violations], key=lambda r: r[:2]):
+        violations += _violations(conjecture_id, graph_from_mask(n, mask), [w for _, _, w in group])
+    return ConjectureReport(conjecture_id, max_n, sum(classes for classes, _ in shards), tuple(violations))
 
 
 def _usable_cpus() -> int:
@@ -458,7 +450,7 @@ def search(
         raise ParseError(f"unknown conjecture id {excerpt(conjecture_id)}; use C42 or C44")
     if max_n > HARD_CAP:
         raise TooLarge(f"search needs 3 <= max_n <= {HARD_CAP}, got {max_n}")
-    min_n = _CONJECTURES[conjecture_id][0]
+    min_n = _CONJECTURES[conjecture_id][1]
     if max_n < min_n:
         raise TooSmall(f"{conjecture_id} search needs max_n >= {min_n}, got {max_n}")
     if jobs < 1:

@@ -15,7 +15,6 @@ from fractions import Fraction
 from metricgraph import (
     MetricSpace,
     between,
-    canonical_form,
     ceil_embed,
     check_conjecture_42,
     check_conjecture_44,
@@ -25,6 +24,7 @@ from metricgraph import (
     geodesic_distances,
     geodesic_metric,
     induced_subgraph,
+    is_connected,
     line_embed,
     mb_check,
     plq_classify,
@@ -53,8 +53,8 @@ def test_criterion_1_triangle_embeds_into_twelve_cycle():
     result = embed(EGYPTIAN)
     ok = (
         result.graph.n == 12
-        and canonical_form(result.graph, max_vertices=12)
-        == canonical_form(cycle_graph(12), max_vertices=12)
+        and is_connected(result.graph)  # connected and 2-regular: the 12-cycle
+        and all(result.graph.degree(i) == 2 for i in range(12))
         and verify_map(EGYPTIAN, result.graph) is None
     )
     elapsed = time.perf_counter() - t0

@@ -67,8 +67,7 @@ def test_canonical_iff_isomorphic():
 def test_canonical_cap():
     with pytest.raises(TooLarge):
         canonical_form(cycle_graph(10))
-    assert canonical_form(cycle_graph(10), max_vertices=10)
-    assert canonical_form(cycle_graph(9)) == canonical_form(cycle_graph(9), max_vertices=9)
+    assert canonical_form(cycle_graph(9))  # HARD_CAP = 9 vertices is allowed
 
 
 def nbr_of_mask(n: int, mask: int) -> list[int]:

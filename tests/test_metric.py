@@ -491,6 +491,7 @@ def test_ceiling_idempotent_and_dominates(seed):
     assert is_integer_metric(c)
     assert {type(v) for row in c.dist for v in row} == {int}
     assert ceiling_metric(c) == c
+    assert find_metric_violation(c.dist) is None  # built unvalidated: the theorem stays checked
     for i in range(m.n):
         for j in range(m.n):
             assert m.dist[i][j] <= c.dist[i][j] < m.dist[i][j] + 1

@@ -40,6 +40,7 @@ from metricgraph import (
     search,
 )
 from metricgraph import quadruples
+from metricgraph.enumeration import graph_from_mask, split_trees
 from metricgraph.graph import connected_distances
 from metricgraph.quadruples import assemble_report, ConjectureViolation, four_subset_status
 
@@ -501,7 +502,9 @@ def test_sweeps_build_and_validate_no_metric(monkeypatch):
 
     monkeypatch.setattr(metric, "find_metric_violation", counted_validate)
     monkeypatch.setattr(Graph, "from_edges", classmethod(counted_from_edges))
-    geodesic_metric(path_graph(3))  # the patches are live
+    geodesic_metric(path_graph(3))  # BFS rows are built, not validated
+    assert calls == ["from_edges"]
+    MetricSpace.from_rows(["a"], [[0]])  # the validate patch is live
     assert calls == ["from_edges", "validate"]
     calls.clear()
     assert search("C42", 6).graphs_checked == 141
@@ -573,7 +576,7 @@ def test_search_pool_is_at_most_one_worker_per_cpu(monkeypatch):
     assert sizes == [2, 3, 3, 3]
     # With two violations on every class, the merge must restore (n, mask)
     # order, and keep one graph's violations in their own order.
-    monkeypatch.setattr(quadruples, "_witnesses", lambda cid, n, nbr: [(0,), (1,)])
+    monkeypatch.setitem(quadruples._CONJECTURES, "C44", (lambda n, nbr: [(0,), (1,)], 4, "ii_implies_i"))
     classes = itertools.islice((g for n in (4, 5, 6) for g in oracles.class_graphs(n)), 20)
     first = [(g, (w,)) for g in classes for w in ("v0", "v1")]
     for jobs in (1, 3):
@@ -634,10 +637,22 @@ def test_pooled_search_matches_in_process_at_n8(monkeypatch):
 
 
 def test_assemble_report_caps_violations():
-    grab = ConjectureViolation("C44", cycle_graph(8), ("v0", "v2", "v4", "v6"), "ii_implies_i")
-    other = replace(grab, witness=("v1", "v3", "v5", "v7"))
-    per_shard = [(1, [((8, 5), grab)]), (2, [((8, 3), other), ((8, 3), grab)]), (0, [])]
+    even, odd = (0, 2, 4, 6), (1, 3, 5, 7)
+    per_shard = [(1, [(8, 5, even)]), (2, [(8, 3, odd), (8, 3, even)]), (0, [])]
     report = assemble_report("C44", 8, per_shard, max_violations=2)
     assert report.graphs_checked == 3
-    assert len(report.violations) == 2
-    assert report.violations == (other, grab)  # (n, mask) order; one graph's own order kept
+    g = graph_from_mask(8, 3)
+    assert report.violations == (  # (n, mask) order; one graph's own order kept
+        ConjectureViolation("C44", g, ("v1", "v3", "v5", "v7"), "ii_implies_i"),
+        ConjectureViolation("C44", g, ("v0", "v2", "v4", "v6"), "ii_implies_i"),
+    )
+
+
+def test_shard_results_are_json_data(monkeypatch):
+    """A shard's result is ints and tuples only, so it round-trips through
+    JSON (with tuples read back as lists)."""
+    monkeypatch.setitem(quadruples._CONJECTURES, "C44", (lambda n, nbr: [(0,)], 4, "ii_implies_i"))
+    classes, records = result = quadruples._check_shard("C44", 100, split_trees(4, 6, 8)[0])
+    assert classes > 0 and len(records) == min(classes, 100)
+    as_lists = [classes, [[n, mask, list(w)] for n, mask, w in records]]
+    assert json.loads(json.dumps(result)) == as_lists
