@@ -141,18 +141,18 @@ def _construction(args: argparse.Namespace, name: str, result: RealizationResult
 
 def cmd_realize(args: argparse.Namespace) -> _Outcome:
     m = _load_metric(args.input, args.format)
+    if args.fallback_embed:
+        # `embed` with no irreducible pair builds the graph `realize` builds.
+        result = embed(m)
+        return _construction(args, "realize+fallback" if result.aux_count else "realize", result)
     try:
         result = realize(m)
-        name = "realize"
     except ConditionFailed as exc:
-        if not args.fallback_embed:
-            return DOMAIN_NEGATIVE, {"command": "realize", "error": "condition_failed",
-                                     "witness": list(exc.witness)}, (
-                f"realize: no point between {exc.witness}; "
-                f"rerun with --fallback-embed to subdivide")
-        result = embed(m)
-        name = "realize+fallback"
-    return _construction(args, name, result)
+        return DOMAIN_NEGATIVE, {"command": "realize", "error": "condition_failed",
+                                 "witness": list(exc.witness)}, (
+            f"realize: no point between {exc.witness}; "
+            f"rerun with --fallback-embed to subdivide")
+    return _construction(args, "realize", result)
 
 
 def cmd_embed(args: argparse.Namespace) -> _Outcome:

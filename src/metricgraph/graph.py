@@ -8,13 +8,12 @@ raises `Disconnected` otherwise.  Unreachable distance entries are None.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 
 from .errors import Disconnected, EmptySubset, ParseError, TooLarge, UnknownLabel, excerpt
-from .metric import MetricSpace, json_text, label_index
+from .metric import MetricSpace, json_arrays, json_text, label_index
 
 DistanceMatrix = tuple[tuple[int | None, ...], ...]
 
@@ -251,19 +250,7 @@ def parse_graph(text: str, format: str = "json") -> Graph:
     or text (`n m` header then m lines `i j`); indices are 0-based.  A text
     header above `MAX_HOST_VERTICES` raises `TooLarge`."""
     if format == "json":
-        try:
-            doc = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # also an int literal beyond 4300 digits
-            raise ParseError(f"invalid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ParseError("graph JSON must be an object")
-        if "vertices" not in doc or "edges" not in doc:
-            raise ParseError('graph JSON needs "vertices" and "edges" keys')
-        vertices = doc["vertices"]
-        edges = doc["edges"]
-        if not isinstance(vertices, list) or not isinstance(edges, list):
-            raise ParseError('"vertices" and "edges" must be arrays')
-        return Graph.from_edges(vertices, edges)
+        return Graph.from_edges(*json_arrays(text, "graph", ("vertices", "edges")))
 
     if format == "text":
         lines = [ln for ln in text.splitlines() if ln.strip()]

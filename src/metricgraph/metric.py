@@ -246,10 +246,12 @@ class MetricSpace:
         return self.dist[self.index(x)][self.index(y)]
 
     def restrict(self, labels: list[str] | tuple[str, ...]) -> "MetricSpace":
-        """Subspace on the given labels, in the given order."""
+        """Subspace on the given labels, in the given order.  A sub-table of
+        a metric is a metric, so only the labels are checked."""
         idx = [self.index(lab) for lab in labels]
-        rows = tuple(tuple(self.dist[i][j] for j in idx) for i in idx)
-        return MetricSpace(tuple(labels), rows)
+        if not idx:
+            raise MetricViolation("shape", (), "a metric space needs at least one point")
+        return MetricSpace._of_metric(tuple(labels), tuple(tuple(self.dist[i][j] for j in idx) for i in idx))
 
 
 def is_integer_metric(m: MetricSpace) -> bool:
@@ -336,20 +338,7 @@ def parse_metric(text: str, format: str = "json") -> MetricSpace:
     witness) when the table is not a metric.
     """
     if format == "json":
-        try:
-            doc = json.loads(text, parse_float=parse_rational)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
-        except ValueError as exc:
-            raise ParseError(f"invalid numeric literal: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ParseError("metric JSON must be an object")
-        if "points" not in doc or "distances" not in doc:
-            raise ParseError('metric JSON needs "points" and "distances" keys')
-        labels = doc["points"]
-        rows = doc["distances"]
-        if not isinstance(labels, list) or not isinstance(rows, list):
-            raise ParseError('"points" and "distances" must be arrays')
+        labels, rows = json_arrays(text, "metric", ("points", "distances"), parse_rational)
         if len(rows) != len(labels):
             raise ParseError(
                 f"{len(labels)} points but {len(rows)} distance rows"
@@ -381,6 +370,22 @@ def parse_metric(text: str, format: str = "json") -> MetricSpace:
         return MetricSpace.from_rows(labels, rows)
 
     raise ParseError(f"unknown metric format {format!r}")
+
+
+def json_arrays(text: str, kind: str, keys: tuple[str, str], parse_float=None) -> tuple[list, list]:
+    """The two array fields `keys` of a `kind` JSON object, the one reader
+    behind `parse_metric` and `parse_graph` (`parse_float` as in `json.loads`)."""
+    try:
+        doc = json.loads(text, parse_float=parse_float)
+    except (ValueError, RecursionError) as exc:  # also an int literal beyond 4300 digits
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{kind} JSON must be an object")
+    if any(key not in doc for key in keys):
+        raise ParseError(f'{kind} JSON needs "{keys[0]}" and "{keys[1]}" keys')
+    if not all(isinstance(doc[key], list) for key in keys):
+        raise ParseError(f'"{keys[0]}" and "{keys[1]}" must be arrays')
+    return doc[keys[0]], doc[keys[1]]
 
 
 def json_text(doc: dict) -> str:

@@ -50,7 +50,12 @@ def mb_check(m: MetricSpace) -> tuple[str, str, str] | None:
     Returns None when every ordered triple (x, y, z) of distinct points
     with d(x,z) >= max(d(x,y), d(y,z)) satisfies d(x,z) = d(x,y) + d(y,z);
     otherwise the lexicographically first violating triple by point index.
+    Line metrics are in the class, and from five points on they are all of
+    it (Menger, 1928): there `line_embed` decides membership in O(n^2), and
+    the O(n^3) triple scan runs only to name a non-member's witness.
     """
+    if m.n >= 5 and line_embed(m) is not None:
+        return None
     triple = _mb_violation(m.dist)
     return None if triple is None else tuple(m.labels[i] for i in triple)  # type: ignore[return-value]
 
@@ -298,21 +303,11 @@ def check_conjecture_42(g: Graph) -> ConjectureViolation | None:
 def four_subset_status(metric: MetricSpace, subset: Iterable[str]) -> tuple[bool, bool]:
     """(induced subgraph is a 4-cycle, distances form an equilateral
     pseudo-linear quadruple) for one 4-vertex subset of a graph, given the
-    graph's geodesic metric.
-
-    Closed form of the second: for one pairing, all four sides equal s
-    and both diagonals 2s.  It matches `plq_classify`'s first fitting
-    pairing because with positive distances at most one pairing fits: if
-    P (sides s, t) and P' (sides s', t') both did, each one's diagonal pair
-    would be a side pair of the other, so s' + t' <= max(s, t) < s + t <=
-    max(s', t'), a contradiction.  The first is the second with s = 1.
-    """
-    a, b, c, e = (metric.index(lab) for lab in _require_four(subset))
-    d = metric.dist
-    ab, ac, ae, bc, be, ce = d[a][b], d[a][c], d[a][e], d[b][c], d[b][e], d[c][e]
-    holds_ii = ab == ce and ac == be and ae == bc and (
-        ab == ac and ae == 2 * ab or ab == ae and ac == 2 * ab or ac == ae and ab == 2 * ac)
-    return holds_ii and min(ab, ac, ae) == 1, holds_ii
+    graph's geodesic metric: `plq_classify` on the subset, whose s = 1
+    case is the induced 4-cycle (see `check_conjecture_44`'s lemma)."""
+    plq = plq_classify(metric.restrict(_require_four(subset)))
+    holds_ii = plq is not None and plq.equilateral
+    return holds_ii and plq.s == 1, holds_ii
 
 
 def check_conjecture_44(g: Graph) -> list[ConjectureViolation]:

@@ -382,6 +382,19 @@ def test_values_past_the_digit_cap_are_typed_errors(tmp_path, capsys):
         assert json.loads(out)["error"] == "ParseError"
 
 
+def test_int_past_the_digit_limit_reads_alike_in_every_command(tmp_path, capsys):
+    """A metric file's int literal beyond Python's 4300-digit limit is
+    invalid JSON, in the same words, whichever command reads it."""
+    path = write(tmp_path, "m.json", '{"points": ["a", "b"], "distances": [[0, 1' + "0" * 5000 + '], [1, 0]]}')
+    docs = []
+    for argv in (("validate", path), ("embed", path), ("check", "--mb", path)):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2, argv
+        docs.append(json.loads(out))
+    assert docs[0] == docs[1] == docs[2]
+    assert docs[0]["error"] == "ParseError" and docs[0]["message"].startswith("invalid JSON: ")
+
+
 def test_deeply_nested_json_is_a_typed_error(tmp_path, capsys):
     """The decoder's RecursionError used to end each command in a
     traceback with the domain-negative exit code 1."""

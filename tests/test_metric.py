@@ -170,6 +170,25 @@ def test_reserved_label_is_reported_before_the_table_is_checked():
         parse_metric('{"points": ["a", "b", "a"], "distances": [[0,1,1],[1,0,1],[1,1,0]]}')
 
 
+def test_restrict_checks_labels_and_trusts_the_table(monkeypatch):
+    """A sub-table of a validated metric is a metric: `restrict` runs no
+    axiom scan, but still rejects an unknown, a repeated or no label."""
+    m = geodesic_metric(path_graph(4))
+    calls = []
+    monkeypatch.setattr(metricgraph.metric, "find_metric_violation", lambda dist: calls.append(dist))
+    sub = m.restrict(["v3", "v0", "v1"])
+    assert (sub.labels, sub.dist) == (("v3", "v0", "v1"), ((0, 3, 2), (3, 0, 1), (2, 1, 0)))
+    assert sub.d("v0", "v3") == 3
+    with pytest.raises(UnknownLabel):
+        m.restrict(["v0", "zz"])
+    with pytest.raises(ParseError, match="duplicate point label 'v0'"):
+        m.restrict(["v0", "v1", "v0"])
+    with pytest.raises(MetricViolation) as exc:
+        m.restrict([])
+    assert exc.value.kind == "shape"
+    assert calls == []
+
+
 def test_only_the_label_routine_checks_labels():
     """`metric.label_index` is the one place that rejects a non-string,
     empty or repeated point or vertex label: no other function negates a

@@ -42,6 +42,7 @@ from metricgraph import (
 from metricgraph import quadruples
 from metricgraph.enumeration import graph_from_mask, split_trees
 from metricgraph.graph import connected_distances
+from metricgraph.metric import find_metric_violation
 from metricgraph.quadruples import assemble_report, ConjectureViolation, four_subset_status
 
 import oracles
@@ -78,6 +79,39 @@ def test_mb_relabeling_invariance(seed):
     m = randgen.random_subset_metric(rng, 6)
     shuffled = relabel_shuffled(m, rng)
     assert (mb_check(m) is None) == (mb_check(shuffled) is None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_mb_check_matches_oracle_off_graph_metrics(seed):
+    """`mb_check` equals the definition's first violating triple on point
+    subsets of graph metrics, on line metrics, and on every table one
+    entry of a line metric moved by +-1 that is still a metric."""
+    rng = random.Random(seed)
+    line = randgen.random_line_subset_metric(rng, 3, 7)
+    spaces = [randgen.random_subset_metric(rng, 7), line]
+    for i, j in itertools.combinations(range(line.n), 2):
+        for step in (1, -1):
+            rows = [list(row) for row in line.dist]
+            rows[i][j] = rows[j][i] = rows[i][j] + step
+            if find_metric_violation(rows) is None:
+                spaces.append(MetricSpace.from_rows(line.labels, rows))
+    for m in spaces:
+        assert mb_check(m) == oracles.first_mb_violation(m), m.dist
+
+
+def test_mb_check_scans_triples_only_off_the_line(monkeypatch):
+    """From five points on, `line_embed` decides a line metric, and the
+    triple scan runs only for a non-member's witness, as on C5."""
+    calls = []
+    scan = quadruples._mb_violation
+    monkeypatch.setattr(quadruples, "_mb_violation", lambda d: calls.append(len(d)) or scan(d))
+    for n in range(5, 10):
+        assert mb_check(geodesic_metric(path_graph(n))) is None
+    assert mb_check(randgen.random_line_subset_metric(random.Random(3))) is None
+    assert calls == []
+    assert mb_check(geodesic_metric(cycle_graph(5))) == ("v0", "v1", "v3")
+    assert calls == [5]
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +209,8 @@ def test_plq_s_le_t_normalization():
 def test_plq_matches_exhaustive_ordering_oracle(seed):
     """Also: a fitting pairing gives the 8 orderings of one 4-cycle, so 0
     or 8 orderings means at most one pairing fits, the fact behind the
-    closed form in `four_subset_status`, whose equilateral test agrees."""
+    closed form in `oracles.c44_status`; `four_subset_status`'s
+    equilateral test agrees."""
     rng = random.Random(seed)
     m = randgen.random_subset_metric(rng, 4, min_points=4)
     got = plq_classify(m)
@@ -367,8 +402,9 @@ def test_induced_four_cycles_are_unit_equilateral_quadruples():
 
 
 def test_c44_status_matches_shape_and_plq_route():
-    """The distance-matrix status of every 4-subset equals the route through
-    an induced subgraph's shape and the restricted metric's classification."""
+    """The status of every 4-subset equals the route through an induced
+    subgraph's shape and the restricted metric's classification, and the
+    closed form of `oracles.c44_status` on the BFS rows."""
     from metricgraph import classify_shape, induced_subgraph
 
     graphs = [g for n in range(4, 7) for g in oracles.class_graphs(n)]
@@ -382,6 +418,7 @@ def test_c44_status_matches_shape_and_plq_route():
                         plq is not None and plq.equilateral)
             assert four_subset_status(m, subset) == expected
             assert four_subset_status(m, subset[::-1]) == expected
+            assert four_subset_status(m, subset) == oracles.c44_status(m.dist, quad)
 
 
 def grid_graph(r: int, c: int) -> Graph:
