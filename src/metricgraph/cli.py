@@ -61,7 +61,7 @@ def _load_metric_or_graph(path: str) -> MetricSpace:
     """
     text = _read_input(path)
     stripped = text.lstrip()
-    if stripped.startswith(("{", "[")):
+    if stripped.lstrip("\ufeff").startswith(("{", "[")):  # a BOM too: json.loads rejects it by name
         try:
             doc = json.loads(text)
         except (ValueError, RecursionError) as exc:  # also an int literal beyond 4300 digits

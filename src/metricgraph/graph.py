@@ -1,16 +1,17 @@
 """Simple undirected graphs and BFS geodesic distances.
 
-Graphs are immutable: labeled vertices plus sorted per-vertex neighbor
-index lists, checked once, by the constructor.  A `Graph` may be
-disconnected; every geodesic-metric consumer checks connectivity and
-raises `Disconnected` otherwise.  Unreachable distance entries are None.
+A `Graph` is an immutable `NamedTuple`: labeled vertices plus sorted
+per-vertex neighbor index lists, checked once, by its constructor.  A
+`Graph` may be disconnected; every geodesic-metric consumer checks
+connectivity and raises `Disconnected` otherwise.  Unreachable distance
+entries are None.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import Disconnected, EmptySubset, ParseError, TooLarge, UnknownLabel, excerpt
 from .metric import MetricSpace, json_arrays, json_text, label_index
@@ -23,19 +24,20 @@ DistanceMatrix = tuple[tuple[int | None, ...], ...]
 MAX_HOST_VERTICES = 1_000_000
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Finite simple undirected graph with labeled vertices."""
-
+class _GraphFields(NamedTuple):
     vertex_labels: tuple[str, ...]
     adjacency: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.vertex_labels)
+
+class Graph(_GraphFields):
+    """Finite simple undirected graph with labeled vertices."""
+
+    def __new__(cls, vertex_labels: tuple[str, ...], adjacency: tuple[tuple[int, ...], ...]) -> "Graph":
+        n = len(vertex_labels)
         if n == 0:
             raise ParseError("a graph needs at least one vertex")
-        index = label_index(self.vertex_labels, "vertex")
-        rows = self.adjacency
+        index = label_index(vertex_labels, "vertex")
+        rows = adjacency
         if len(rows) != n:
             raise ParseError(f"{n} vertices but {len(rows)} adjacency rows")
         for i, row in enumerate(rows):
@@ -53,7 +55,9 @@ class Graph:
             for j in row:
                 if bisect_left(rows[j], i) == bisect_right(rows[j], i):
                     raise ParseError(f"edge ({i},{j}) is not symmetric")
-        object.__setattr__(self, "_index", index)
+        g = tuple.__new__(cls, (vertex_labels, adjacency))
+        g._index = index  # type: ignore[attr-defined]
+        return g
 
     @classmethod
     def from_edges(
@@ -211,8 +215,7 @@ def induced_subgraph(g: Graph, subset: set[str] | list[str] | tuple[str, ...]) -
     return Graph.from_edges(labels, edges)
 
 
-@dataclass(frozen=True)
-class ShapeClass:
+class ShapeClass(NamedTuple):
     """Degree-sequence shape: single_vertex, path (size = edge count),
     cycle (size = vertex count), or other."""
 

@@ -14,10 +14,9 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import (
     MetricViolation,
@@ -63,6 +62,8 @@ def parse_rational(value: int | str | Fraction) -> Rational:
         raise ParseError(f"float distance {value!r} rejected; pass a decimal string instead")
     if isinstance(value, (str, Fraction)):
         try:
+            if isinstance(value, str) and value.isascii() and value.isdigit():
+                return int(value)  # a plain integer token skips Fraction's regex
             if isinstance(value, str) and ("e" in value or "E" in value):
                 if abs(int(value.lower().partition("e")[2])) > MAX_DIGITS:
                     raise TooLarge(f"distance {excerpt(value)} has a decimal exponent beyond {MAX_DIGITS}")
@@ -176,42 +177,45 @@ def label_index(labels: tuple[str, ...], kind: str) -> dict[str, int]:
     return index
 
 
-@dataclass(frozen=True)
-class MetricSpace:
-    """A finite labeled point set with an exact, validated distance table.
-
-    Instances are immutable and safe to share between workers.  Use
-    `MetricSpace.from_rows` to build one from plain lists; it stores every
-    integral distance as an `int` and every other one as a `Fraction`, and
-    never a float.  The constructor accepts only `int` and `Fraction`
-    entries (`ParseError` otherwise), validates every metric axiom and raises
-    `MetricViolation` with a concrete witness on failure, or `TooLarge` past
-    the `MAX_DIGITS` cap.
-    """
-
+class _MetricFields(NamedTuple):
     labels: tuple[str, ...]
     dist: tuple[tuple[Rational, ...], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.labels) == 0:
+
+class MetricSpace(_MetricFields):
+    """A finite labeled point set with an exact, validated distance table.
+
+    A `NamedTuple` whose fields cannot be rebound, safe to share between
+    workers.  Use `MetricSpace.from_rows` to build one from plain lists; it
+    stores every integral distance as an `int` and every other one as a
+    `Fraction`, and never a float.  The constructor (`__new__`) accepts only
+    `int` and `Fraction` entries (`ParseError` otherwise), validates every
+    metric axiom and raises `MetricViolation` with a concrete witness on
+    failure, or `TooLarge` past the `MAX_DIGITS` cap.
+    """
+
+    def __new__(cls, labels: tuple[str, ...], dist: tuple[tuple[Rational, ...], ...]) -> "MetricSpace":
+        if len(labels) == 0:
             raise MetricViolation("shape", (), "a metric space needs at least one point")
-        index = label_index(self.labels, "point")
-        if len(self.dist) != len(self.labels):
+        index = label_index(labels, "point")
+        if len(dist) != len(labels):
             raise MetricViolation(
                 "shape", (),
-                f"{len(self.labels)} labels but {len(self.dist)} table rows",
+                f"{len(labels)} labels but {len(dist)} table rows",
             )
-        for row in self.dist:
+        for row in dist:
             for v in row:
                 if type(v) is not int and type(v) is not Fraction:
                     raise ParseError(
                         f"distance {excerpt(v)} is not an int or a Fraction; "
                         "MetricSpace.from_rows parses decimal strings"
                     )
-        violation = find_metric_violation(self.dist)
+        violation = find_metric_violation(dist)
         if violation is not None:
             raise violation
-        object.__setattr__(self, "_index", index)
+        m = tuple.__new__(cls, (labels, dist))
+        m._index = index  # type: ignore[attr-defined]
+        return m
 
     @classmethod
     def from_rows(
@@ -226,10 +230,8 @@ class MetricSpace:
     def _of_metric(cls, labels: tuple[str, ...], dist: tuple[tuple[Rational, ...], ...]) -> "MetricSpace":
         """A space on a table that is a metric by construction: the labels are
         checked, and the axiom scan is skipped."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "labels", labels)
-        object.__setattr__(m, "dist", dist)
-        object.__setattr__(m, "_index", label_index(labels, "point"))
+        m = tuple.__new__(cls, (labels, dist))
+        m._index = label_index(labels, "point")  # type: ignore[attr-defined]
         return m
 
     @property

@@ -21,9 +21,8 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .enumeration import HARD_CAP, Shard, _is_connected, enumerate_connected_graphs, graph_from_mask, split_trees
 from .errors import (
@@ -103,8 +102,7 @@ def line_embed(m: MetricSpace) -> dict[str, Rational] | None:
 # Pseudo-linear quadruples
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PLQ:
+class PLQ(NamedTuple):
     """A matched pseudo-linear quadruple ordering with s <= t."""
 
     ordering: tuple[str, str, str, str]
@@ -150,8 +148,7 @@ def plq_classify(m: MetricSpace) -> PLQ | None:
     return None
 
 
-@dataclass(frozen=True)
-class QuadInequality:
+class QuadInequality(NamedTuple):
     lhs: Rational
     bound: Fraction
     slack: Fraction
@@ -247,8 +244,7 @@ def _c44_witnesses(n: int, nbr: list[int]) -> list[tuple[int, int, int, int]]:
 _CONJECTURES = {"C42": (_c42_witnesses, 3, "mb_implies_shape"), "C44": (_c44_witnesses, 4, "ii_implies_i")}
 
 
-@dataclass(frozen=True)
-class ConjectureViolation:
+class ConjectureViolation(NamedTuple):
     conjecture_id: str
     graph: Graph
     witness: tuple[str, ...]
@@ -338,8 +334,7 @@ def check_conjecture_44(g: Graph) -> list[ConjectureViolation]:
 Record = tuple[int, int, tuple[int, ...]]  # a violating class's n and mask, and one index witness
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     conjecture_id: str
     max_n: int
     graphs_checked: int

@@ -18,7 +18,7 @@ raises `InternalVerificationFailure` rather than a user-facing error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConditionFailed, Disconnected, InternalVerificationFailure, ParseError, TooLarge
 from .graph import MAX_HOST_VERTICES, Graph, _bfs_from
@@ -34,8 +34,7 @@ from .metric import (
 AUX_PREFIX = "__aux"
 
 
-@dataclass(frozen=True)
-class RealizationResult:
+class RealizationResult(NamedTuple):
     """A host graph whose geodesic metric contains the input metric.
 
     The metric's points are the graph's first `graph.n - aux_count`
@@ -47,8 +46,7 @@ class RealizationResult:
     aux_count: int
 
 
-@dataclass(frozen=True)
-class DistanceMismatch:
+class DistanceMismatch(NamedTuple):
     """Witness of a failed map verification: d(pair) != d_G(pair)."""
 
     pair: tuple[str, str]

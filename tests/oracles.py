@@ -15,12 +15,23 @@ import itertools
 from fractions import Fraction
 
 from metricgraph import (
-    EmptyGraph, Graph, MetricSpace, MetricViolation, TooSmall, classify_shape,
+    EmptyGraph, Graph, MetricSpace, MetricViolation, ParseError, TooSmall, classify_shape,
     enumerate_connected_graphs, graph_from_mask,
 )
+from metricgraph.errors import excerpt
 from metricgraph.graph import connected_distances
 from metricgraph.metric import Rational
 from metricgraph.quadruples import ConjectureViolation, _mb_violation
+
+
+def rational_by_fraction(token: str) -> Rational:
+    """An exponent-free string token through `Fraction` alone, as
+    `parse_rational` reads it: an int when integral, else a Fraction."""
+    try:
+        q = Fraction(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"not a rational number: {excerpt(token)}") from exc
+    return q.numerator if q.denominator == 1 else q
 
 
 def brute_shortest_length(g: Graph, u: int, v: int) -> int | None:

@@ -395,6 +395,18 @@ def test_int_past_the_digit_limit_reads_alike_in_every_command(tmp_path, capsys)
     assert docs[0]["error"] == "ParseError" and docs[0]["message"].startswith("invalid JSON: ")
 
 
+def test_json_with_a_byte_order_mark_reads_alike_in_check_and_validate(tmp_path, capsys):
+    """`check` used to sniff past no BOM and read the file as a matrix."""
+    path = write(tmp_path, "bom.json", "\ufeff" + EGYPTIAN_JSON)
+    docs = []
+    for argv in (("check", "--mb", path), ("validate", path)):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2, argv
+        docs.append(json.loads(out))
+    assert docs[0] == docs[1]
+    assert docs[0]["error"] == "ParseError" and docs[0]["message"].startswith("invalid JSON: Unexpected UTF-8 BOM")
+
+
 def test_deeply_nested_json_is_a_typed_error(tmp_path, capsys):
     """The decoder's RecursionError used to end each command in a
     traceback with the domain-negative exit code 1."""

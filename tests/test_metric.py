@@ -86,6 +86,29 @@ def test_decimal_string_round_trip(mantissa, shift):
     assert q == Fraction(mantissa, 10 ** shift)
 
 
+# ASCII and other decimal digits, signs and spaces, and digit strings on both
+# sides of Python's 4300-digit int-to-str limit.
+DIGIT_TOKENS = st.one_of(
+    st.text(st.sampled_from("0123456789\u0663\u06f7+- \t"), max_size=12),
+    st.from_regex(r"\A0*[0-9]{1,40}\Z"),
+    st.builds(lambda zeros, k: "0" * zeros + "7" * k, st.integers(0, 3), st.integers(4295, 4305)),
+)
+
+
+@settings(max_examples=300)
+@given(DIGIT_TOKENS)
+def test_digit_tokens_parse_as_through_fraction(token):
+    try:
+        expected = oracles.rational_by_fraction(token)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_rational(token)
+        assert str(got.value) == str(exc)
+    else:
+        value = parse_rational(token)
+        assert value == expected and type(value) is type(expected)
+
+
 # ---------------------------------------------------------------------------
 # Parsing and validation
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ import multiprocessing
 import os
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -468,10 +467,10 @@ def test_violations_replay():
         assert replay_violation(v)
     first = violations[0]
     not_replayed = [
-        *(replace(v, direction="i_implies_ii") for v in violations),
-        replace(first, witness=("v0", "v1", "v2", "v3")),
-        replace(first, witness=("v0", "v2", "v4", "zz")),
-        replace(first, conjecture_id="C99"),
+        *(v._replace(direction="i_implies_ii") for v in violations),
+        first._replace(witness=("v0", "v1", "v2", "v3")),
+        first._replace(witness=("v0", "v2", "v4", "zz")),
+        first._replace(conjecture_id="C99"),
         ConjectureViolation("C42", path_graph(4), (), "mb_implies_shape"),
     ]
     for fake in not_replayed:
@@ -669,7 +668,7 @@ def test_pooled_search_matches_in_process_at_n8(monkeypatch):
     assert len(full.violations) == 2
     assert len(built) == len({v.graph for v in full.violations})
     for k in (1, 2, 100):
-        capped = replace(full, violations=full.violations[:k])
+        capped = full._replace(violations=full.violations[:k])
         assert search("C44", 8, max_violations=k, jobs=2).to_json() == capped.to_json()
 
 

@@ -1,0 +1,52 @@
+"""The nine record types keep what README promises: immutable after
+construction, equal and hashed by their fields, and safe to send to a
+worker process (a pickle round trip gives an equal, working object)."""
+
+from __future__ import annotations
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from metricgraph import (
+    PLQ, ConjectureReport, ConjectureViolation, Graph, MetricSpace, RealizationResult, ShapeClass,
+    cycle_graph, path_graph,
+)
+from metricgraph.quadruples import QuadInequality
+from metricgraph.realization import DistanceMismatch
+
+C4_VIOLATION = {"conjecture_id": "C44", "graph": cycle_graph(4),
+                "witness": ("v0", "v1", "v2", "v3"), "direction": "ii_implies_i"}
+
+RECORDS = [
+    (MetricSpace, {"labels": ("a", "b", "c"),
+                   "dist": ((0, Fraction(1, 2), 1), (Fraction(1, 2), 0, 1), (1, 1, 0))}),
+    (Graph, {"vertex_labels": ("x", "y", "z"), "adjacency": ((1,), (0, 2), (1,))}),
+    (ShapeClass, {"kind": "path", "size": 2}),
+    (RealizationResult, {"graph": path_graph(3), "aux_count": 1}),
+    (DistanceMismatch, {"pair": ("a", "b"), "expected": Fraction(3, 2), "actual": 2}),
+    (PLQ, {"ordering": ("a", "b", "c", "d"), "s": 1, "t": 2}),
+    (QuadInequality, {"lhs": 1, "bound": Fraction(9, 2), "slack": Fraction(7, 2)}),
+    (ConjectureViolation, C4_VIOLATION),
+    (ConjectureReport, {"conjecture_id": "C44", "max_n": 4, "graphs_checked": 6,
+                        "violations": (ConjectureViolation(**C4_VIOLATION),)}),
+]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_records_are_immutable_hashable_values_that_pickle(cls, fields):
+    record = cls(**fields)
+    twin = cls(**copy.deepcopy(fields))
+    assert record == twin and hash(record) == hash(twin)
+    for name, value in fields.items():
+        assert getattr(record, name) == value
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+    labels = fields.get("labels", fields.get("vertex_labels"))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(record, protocol))
+        assert type(back) is cls and back == record and hash(back) == hash(record)
+        if cls in (MetricSpace, Graph):
+            assert [back.index(lab) for lab in labels] == list(range(len(labels)))

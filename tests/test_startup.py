@@ -1,5 +1,6 @@
 """What a fresh process loads: no command loads numpy, `search` included,
-and the CLI import leaves multiprocessing to a pooled search.
+the CLI import leaves multiprocessing to a pooled search, and it loads
+neither dataclasses nor inspect.
 
 Each case runs in its own interpreter, because the test process itself may
 have imported numpy through another test dependency.
@@ -11,6 +12,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import metricgraph
 from metricgraph import search
@@ -33,15 +36,11 @@ def run_python(code: str, *argv: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-def test_importing_the_cli_does_not_load_numpy():
-    proc = run_python("import sys, metricgraph.cli; print('numpy' in sys.modules)")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
-
-
-def test_importing_the_cli_does_not_load_multiprocessing():
-    """Only a pooled search (jobs > 1) imports multiprocessing."""
-    proc = run_python("import sys, metricgraph.cli; print('multiprocessing' in sys.modules)")
+@pytest.mark.parametrize("module", ["numpy", "multiprocessing", "dataclasses", "inspect"])
+def test_importing_the_cli_does_not_load(module):
+    """Only a pooled search (jobs > 1) imports multiprocessing; the records
+    are NamedTuples, so no start-up pays for dataclasses and inspect."""
+    proc = run_python(f"import sys, metricgraph.cli; print({module!r} in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
 
