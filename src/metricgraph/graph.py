@@ -195,24 +195,15 @@ def shortest_path(g: Graph, x: str, z: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def induced_subgraph(g: Graph, subset: set[str] | list[str] | tuple[str, ...]) -> Graph:
-    """Subgraph on the given labels keeping exactly the edges of g.
-
-    Vertex order follows the host graph's order.
-    """
-    wanted = set(subset)
-    if not wanted:
+    """Subgraph on the given labels keeping exactly the edges of g, in the
+    host graph's vertex order; a repeated label counts once.  Raises
+    `UnknownLabel` for the first unknown label in the caller's order."""
+    keep = sorted({g.index(lab) for lab in subset})
+    if not keep:
         raise EmptySubset("induced subgraph needs a nonempty vertex subset")
-    for lab in wanted:
-        g.index(lab)
-    keep = [i for i, lab in enumerate(g.vertex_labels) if lab in wanted]
     remap = {old: new for new, old in enumerate(keep)}
-    labels = [g.vertex_labels[i] for i in keep]
-    edges = [
-        (remap[i], remap[j])
-        for (i, j) in g.edges()
-        if i in remap and j in remap
-    ]
-    return Graph.from_edges(labels, edges)
+    return Graph(tuple(g.vertex_labels[i] for i in keep),
+                 tuple(tuple(remap[j] for j in g.adjacency[i] if j in remap) for i in keep))
 
 
 class ShapeClass(NamedTuple):

@@ -110,9 +110,19 @@ def find_metric_violation(
     A failing pair's witness is its first k on t, as in the plain triple
     loop, since scaling by L > 0 keeps every comparison.
 
-    Raises `TooLarge` when L or an entry of t has more than `MAX_DIGITS`
-    digits; L is built one denominator at a time and stops there.
+    The first pass reads each entry once, for its denominator, and raises
+    `ParseError` for one that is not exactly an `int` or a `Fraction`, before
+    the row lengths are checked.  Raises `TooLarge` as soon as L, built one
+    denominator at a time, or an entry of t has more than `MAX_DIGITS` digits.
     """
+    denominators = set()
+    for row in dist:
+        for v in row:
+            if type(v) is Fraction:
+                denominators.add(v.denominator)
+            elif type(v) is not int:
+                raise ParseError(f"distance {excerpt(v)} is not an int or a Fraction; "
+                                 "MetricSpace.from_rows parses decimal strings")
     n = len(dist)
     for i, row in enumerate(dist):
         if len(row) != n:
@@ -120,7 +130,7 @@ def find_metric_violation(
                 "shape", (i,), f"row {i} has {len(row)} entries, expected {n}"
             )
     scale = 1
-    for den in {v.denominator for row in dist for v in row}:
+    for den in denominators:
         scale = math.lcm(scale, den)
         if scale >= _DIGIT_BOUND:
             raise TooLarge(f"the denominators' lcm has more than {MAX_DIGITS} digits")
@@ -203,13 +213,6 @@ class MetricSpace(_MetricFields):
                 "shape", (),
                 f"{len(labels)} labels but {len(dist)} table rows",
             )
-        for row in dist:
-            for v in row:
-                if type(v) is not int and type(v) is not Fraction:
-                    raise ParseError(
-                        f"distance {excerpt(v)} is not an int or a Fraction; "
-                        "MetricSpace.from_rows parses decimal strings"
-                    )
         violation = find_metric_violation(dist)
         if violation is not None:
             raise violation
@@ -261,11 +264,6 @@ def is_integer_metric(m: MetricSpace) -> bool:
     return all(v.denominator == 1 for row in m.dist for v in row)
 
 
-def _require_integer(m: MetricSpace) -> None:
-    if not is_integer_metric(m):
-        raise NotIntegerMetric("operation requires an integer-valued metric")
-
-
 # ---------------------------------------------------------------------------
 # Betweenness and derived checks
 # ---------------------------------------------------------------------------
@@ -286,7 +284,8 @@ def _irreducible_pairs(m: MetricSpace) -> Iterator[tuple[str, str]]:
     k = i and k = j always give d(i,k) + d(k,j) = d(i,j), and any other k
     that does lies between i and j, so a pair is irreducible exactly when
     the row sum d[i] + d[j] hits d(i,j) twice."""
-    _require_integer(m)
+    if not is_integer_metric(m):
+        raise NotIntegerMetric("operation requires an integer-valued metric")
     d = m.dist
     add = operator.add
     for i, row in enumerate(d):

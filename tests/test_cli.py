@@ -16,7 +16,7 @@ import metricgraph
 from metricgraph import (Graph, cycle_graph, dump_graph, dump_metric, geodesic_metric, parse_graph,
                          parse_metric, path_graph)
 from metricgraph.cli import build_parser, main
-from metricgraph.errors import ConditionFailed, Disconnected, MetricGraphError, MetricViolation
+from metricgraph.errors import ConditionFailed, Disconnected, MetricGraphError, MetricViolation, ParseError
 from metricgraph.quadruples import ConjectureReport, check_graph
 from metricgraph.realization import DistanceMismatch
 
@@ -660,6 +660,58 @@ def test_output_protocol(tmp_path, capsys, monkeypatch, argv, expected):
     else:
         doc = json.loads(out)
         assert expected_error is None or doc["error"] == expected_error
+
+
+_EMPTY_METRIC = '{"points": [], "distances": []}'
+
+
+def _parse_error(message: str) -> tuple[int, str, str]:
+    return 2, json.dumps({"error": "ParseError", "message": message}, separators=(",", ": ")) + "\n", (
+        f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, stdin, expected", [
+    ("validate --format text -", "", _parse_error("empty matrix input")),
+    ("validate --format text -", "0", _parse_error("size must be >= 1, got 0")),
+    ("validate -", "[]", _parse_error("metric JSON must be an object")),
+    ("validate -", '{"points": 1, "distances": []}', _parse_error('"points" and "distances" must be arrays')),
+    ("validate -", '{"points": ["a", "b"], "distances": [[0, 1], [1]]}',
+     _parse_error("distance table must be square")),
+    ("validate -", _EMPTY_METRIC, (
+        1, '{"command": "validate","integer_valued": null,"kay_chartrand": null,"metric_valid": false,'
+           '"violation": {"kind": "shape","message": "a metric space needs at least one point","witness": []}}\n',
+        "validate: not a metric (shape at ())\n")),
+    ("embed -", _EMPTY_METRIC, (
+        2, '{"error": "metric_violation","kind": "shape","message": "a metric space needs at least one point",'
+           '"witness": []}\n',
+        "error: a metric space needs at least one point\n")),
+    ("distances --format text -", "", _parse_error("empty graph input")),
+    ("distances --format text -", "a b\n", _parse_error("bad header 'a b'")),
+    ("distances --format text -", "2 1\n0 x\n",
+     _parse_error("bad edge line: invalid literal for int() with base 10: 'x'")),
+    ("check --mb -", "  \n\t\n", _parse_error("cannot tell metric matrix from graph text input")),
+    ("check --mb -", "3 2\n0 1\n1 2\n", (
+        0, '{"check": "mb","command": "check","pass": true,"witness": null}\n',
+        "check: betweenness class membership holds\n")),
+])
+def test_input_errors_on_stdin(capsys, monkeypatch, argv, stdin, expected):
+    """Each input-reading branch answers a file on stdin with one exact
+    document and one exact summary line; the last case is a text graph
+    that `check` tells from a matrix by its header."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert run(capsys, *argv.split()) == expected
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Graph(("a", "b"), ((1,),)), "2 vertices but 1 adjacency rows"),
+    (lambda: cycle_graph(2), "a cycle needs at least 3 vertices, got 2"),
+    (lambda: check_graph("C99", path_graph(3)), "unknown conjecture id 'C99'; use C42 or C44"),
+])
+def test_library_input_errors(build, message):
+    """The library's own input checks that no CLI path reaches."""
+    with pytest.raises(ParseError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def _error_classes(base: type = MetricGraphError) -> list[type]:

@@ -196,6 +196,19 @@ def test_induced_subgraph_examples():
         induced_subgraph(c4, [])
 
 
+def test_induced_subgraph_reads_labels_in_the_callers_order():
+    """The first unknown label in the caller's order is named (a set would
+    name 1 here: small ints hash to themselves); a repeated label counts
+    once; no label at all is an empty subset."""
+    p3 = path_graph(3)
+    with pytest.raises(UnknownLabel, match="^unknown vertex label 2$"):
+        induced_subgraph(p3, [2, 1])
+    assert induced_subgraph(p3, ["v2", "v0", "v2", "v1"]) == p3
+    assert induced_subgraph(p3, ("v2", "v2")).vertex_labels == ("v2",)
+    with pytest.raises(EmptySubset):
+        induced_subgraph(p3, ())
+
+
 def test_classify_shape():
     s = classify_shape(path_graph(5))
     assert s.is_path and s.size == 4
