@@ -20,9 +20,9 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from .errors import ConditionFailed, Disconnected, MetricGraphError, MetricViolation, ParseError, TooLarge
+from .errors import ConditionFailed, Disconnected, MetricGraphError, MetricViolation, NotIntegerMetric, ParseError, TooLarge
 from .graph import dump_graph, geodesic_metric, graph_doc, parse_graph
-from .metric import MetricSpace, dump_metric, is_integer_metric, json_text, kay_chartrand_check, parse_metric, rational_to_json
+from .metric import MetricSpace, dump_metric, json_text, kay_chartrand_check, parse_metric, rational_to_json
 from .quadruples import line_embed, mb_check, plq_classify, quad_inequality, search
 from .realization import RealizationResult, ceil_embed, embed, realize
 
@@ -93,10 +93,12 @@ def cmd_validate(args: argparse.Namespace) -> _Outcome:
         doc.update(metric_valid=False,
                    violation={"kind": v.kind, "witness": list(v.witness), "message": str(v)})
         return DOMAIN_NEGATIVE, doc, f"validate: not a metric ({v.kind} at {v.witness})"
-    doc["integer_valued"] = is_integer_metric(m)
-    if not doc["integer_valued"]:
+    try:
+        witness = kay_chartrand_check(m)
+    except NotIntegerMetric:
+        doc["integer_valued"] = False
         return DOMAIN_NEGATIVE, doc, "validate: metric ok but not realizable exactly (non-integer distances)"
-    witness = kay_chartrand_check(m)
+    doc["integer_valued"] = True
     doc["kay_chartrand"] = {"pass": witness is None, "witness": None if witness is None else list(witness)}
     if witness is None:
         return 0, doc, f"validate: {m.n} points, realizable as a graph geodesic metric"

@@ -258,12 +258,20 @@ def _violations(conjecture_id: str, g: Graph, witnesses: list[tuple[int, ...]]) 
             for w in witnesses]
 
 
-def _connected_nbr(g: Graph) -> list[int]:
-    """g's rows as neighbour bitmasks; `Disconnected` unless g is connected."""
+def check_graph(conjecture_id: str, g: Graph) -> list[ConjectureViolation]:
+    """Conjecture `conjecture_id`'s violations on g, in its kernel's order.
+    Raises `ParseError` for an id other than C42 or C44, then `Disconnected`,
+    then `EmptyGraph` (C42, no edge) or `TooSmall` (C44, below 4 vertices)."""
+    if conjecture_id not in _CONJECTURES:
+        raise ParseError(f"unknown conjecture id {excerpt(conjecture_id)}; use C42 or C44")
     nbr = [sum(1 << j for j in row) for row in g.adjacency]
     if not _is_connected(g.n, nbr):
         raise Disconnected("geodesic metric requires a connected graph")
-    return nbr
+    if conjecture_id == "C42" and g.edge_count() == 0:
+        raise EmptyGraph("conjecture applies to graphs with at least one edge")
+    if conjecture_id == "C44" and g.n < 4:
+        raise TooSmall(f"need at least 4 vertices, got {g.n}")
+    return _violations(conjecture_id, g, _CONJECTURES[conjecture_id][0](g.n, nbr))
 
 
 def check_conjecture_42(g: Graph) -> ConjectureViolation | None:
@@ -289,10 +297,7 @@ def check_conjecture_42(g: Graph) -> ConjectureViolation | None:
     as the sweep's computed check of the last case.
     Raises `Disconnected`, then `EmptyGraph`.
     """
-    nbr = _connected_nbr(g)
-    if g.edge_count() == 0:
-        raise EmptyGraph("conjecture applies to graphs with at least one edge")
-    violations = _violations("C42", g, _c42_witnesses(g.n, nbr))
+    violations = check_graph("C42", g)
     return violations[0] if violations else None
 
 
@@ -321,10 +326,7 @@ def check_conjecture_44(g: Graph) -> list[ConjectureViolation]:
     graph whose radius-3 balls are all the whole vertex set skips the BFS
     rows and the scan.
     """
-    nbr = _connected_nbr(g)
-    if g.n < 4:
-        raise TooSmall(f"need at least 4 vertices, got {g.n}")
-    return _violations("C44", g, _c44_witnesses(g.n, nbr))
+    return check_graph("C44", g)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +342,8 @@ class ConjectureReport(NamedTuple):
     graphs_checked: int
     violations: tuple[ConjectureViolation, ...]
 
-    def to_doc(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json_text({
             "conjecture": self.conjecture_id,
             "max_n": self.max_n,
             "graphs_checked": self.graphs_checked,
@@ -353,20 +355,7 @@ class ConjectureReport(NamedTuple):
                 }
                 for v in self.violations
             ],
-        }
-
-    def to_json(self) -> str:
-        return json_text(self.to_doc())
-
-
-def check_graph(conjecture_id: str, g: Graph) -> list[ConjectureViolation]:
-    """`check_conjecture_42` or `check_conjecture_44` on g, as a list."""
-    if conjecture_id == "C42":
-        v = check_conjecture_42(g)
-        return [] if v is None else [v]
-    if conjecture_id == "C44":
-        return check_conjecture_44(g)
-    raise ParseError(f"unknown conjecture id {excerpt(conjecture_id)}; use C42 or C44")
+        })
 
 
 def replay_violation(v: ConjectureViolation) -> bool:

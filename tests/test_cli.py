@@ -15,6 +15,7 @@ import pytest
 import metricgraph
 from metricgraph import (Graph, cycle_graph, dump_graph, dump_metric, geodesic_metric, parse_graph,
                          parse_metric, path_graph)
+from metricgraph import cli, metric
 from metricgraph.cli import build_parser, main
 from metricgraph.errors import ConditionFailed, Disconnected, MetricGraphError, MetricViolation, ParseError
 from metricgraph.quadruples import ConjectureReport, check_graph
@@ -84,6 +85,21 @@ def test_validate_non_integer(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["integer_valued"] is False
     assert doc["kay_chartrand"] is None
+
+
+@pytest.mark.parametrize("table, integer", [("[[0,2],[2,0]]", True), ('[[0,"1/2"],["1/2",0]]', False)])
+def test_validate_decides_integrality_once(tmp_path, capsys, monkeypatch, table, integer):
+    """One `is_integer_metric` call per `validate`, whether the table is
+    integral or not (patched in `cli` too, so that a copy imported there
+    is counted)."""
+    calls = []
+    real = metric.is_integer_metric
+    for module in (metric, cli):
+        monkeypatch.setattr(module, "is_integer_metric", lambda m: calls.append(m) or real(m), raising=False)
+    path = write(tmp_path, "t.json", f'{{"points": ["a", "b"], "distances": {table}}}')
+    _, out, _ = run(capsys, "validate", path)
+    assert json.loads(out)["integer_valued"] is integer
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Fuzzed metric and graph files through every command that reads one: the
-output protocol holds whatever the input.
+output protocol holds whatever the input, and `validate`'s answers equal
+the brute-force oracles'.
 
 Each file goes on stdin to `main` in-process.  Every size stays small (at
 most 16 points or vertices, text headers up to 64, distances up to 20
@@ -13,16 +14,22 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
+import random
 import sys
+from fractions import Fraction
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metricgraph import parse_metric
+from metricgraph import MetricSpace, geodesic_metric, parse_metric
 from metricgraph.cli import main
 from metricgraph.errors import MetricGraphError
+
+import oracles
+import randgen
 
 MAX_POINTS = 16
 MAX_HEADER = 64
@@ -163,3 +170,62 @@ def test_every_input_gets_one_document_and_one_line(file, command, other_format)
         assert doc.get("error") in EXIT_1_ERRORS, doc
     elif code == 2:
         assert doc["error"] in EXIT_2_ERRORS, doc
+
+
+@st.composite
+def validate_tables(draw) -> list[list]:
+    """A table of at most 10 points, ints where integral: a `randgen` graph
+    metric or a subset of one, or [a, 2a] integers or hundredths in [1, 2]
+    with maybe one pair's entry raised past 2a (which often breaks a
+    triangle), made nonpositive, or raised on one side only."""
+    kind = draw(st.sampled_from(["range", "hundredths", "graph", "subset"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "graph":
+        return [list(row) for row in geodesic_metric(randgen.random_connected_graph(rng, rng.randint(1, 10))).dist]
+    if kind == "subset":
+        return [list(row) for row in randgen.random_subset_metric(rng, 10).dist]
+    n = draw(st.integers(2, 10))
+    lo, unit = (draw(st.integers(1, 4)), 1) if kind == "range" else (100, 100)
+    upper = {(i, j): draw(st.integers(lo, 2 * lo)) for i, j in itertools.combinations(range(n), 2)}
+    rows = [[0 if i == j else upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    edit = draw(st.sampled_from([None, None, "triangle", "triangle", "asymmetry", "nonpositive"]))
+    if edit is not None:
+        i, j = sorted(draw(st.permutations(range(n)))[:2])
+        rows[i][j] = {"triangle": draw(st.integers(2 * lo + 1, 4 * lo + 1)), "asymmetry": rows[i][j] + 1,
+                      "nonpositive": draw(st.integers(-1, 0))}[edit]
+        if edit != "asymmetry":
+            rows[j][i] = rows[i][j]
+    return [[v // unit if v % unit == 0 else Fraction(v, unit) for v in row] for row in rows]
+
+
+@settings(max_examples=120, deadline=None)
+@given(rows=validate_tables(), text=st.booleans())
+def test_validate_answers_equal_the_oracles(rows, text):
+    """`validate`'s verdict, violation, integrality and Kay-Chartrand witness
+    equal the plain scans of `oracles`, and it exits 0 iff that pass holds."""
+    n = len(rows)
+    labels = [f"p{i}" for i in range(n)]
+    if text:
+        file = f"{n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    else:
+        cells = [[v if v.denominator == 1 else str(v) for v in row] for row in rows]
+        file = json.dumps({"points": labels, "distances": cells})
+    code, out, _ = run_on_stdin(["validate", "--format", "text" if text else "json", "-"], file)
+    doc = json.loads(out)
+    violation = oracles.brute_first_violation(rows)
+    assert doc["metric_valid"] is (violation is None)
+    if violation is not None:
+        assert doc["violation"] == {"kind": violation.kind, "witness": list(violation.witness),
+                                    "message": str(violation)}
+        assert (code, doc["integer_valued"], doc["kay_chartrand"]) == (1, None, None)
+        return
+    integer = all(v.denominator == 1 for row in rows for v in row)
+    assert doc["integer_valued"] is integer
+    if not integer:
+        assert (code, doc["kay_chartrand"]) == (1, None)
+        return
+    m = MetricSpace.from_rows(labels, rows)
+    first = next(([labels[i], labels[j]] for i, j in itertools.combinations(range(n), 2)
+                  if rows[i][j] >= 2 and not oracles.has_between_point(m, i, j)), None)
+    assert doc["kay_chartrand"] == {"pass": first is None, "witness": first}
+    assert code == (0 if first is None else 1)

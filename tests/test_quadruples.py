@@ -42,7 +42,7 @@ from metricgraph import quadruples
 from metricgraph.enumeration import graph_from_mask, split_trees
 from metricgraph.graph import connected_distances
 from metricgraph.metric import find_metric_violation
-from metricgraph.quadruples import assemble_report, ConjectureViolation, four_subset_status
+from metricgraph.quadruples import assemble_report, check_graph, ConjectureViolation, four_subset_status
 
 import oracles
 import randgen
@@ -357,11 +357,22 @@ def test_c42_certificates_from_adjacency():
             assert d[x][z] >= max(d[x][y], d[y][z]) and d[x][z] != d[x][y] + d[y][z], g
 
 
+def _raised(check, *args) -> Exception:
+    with pytest.raises(Exception) as info:
+        check(*args)
+    return info.value
+
+
 def test_c42_errors():
     with pytest.raises(EmptyGraph):
         check_conjecture_42(Graph.from_edges(["a"], []))
     with pytest.raises(Disconnected):
         check_conjecture_42(Graph.from_edges(["a", "b"], []))
+    with pytest.raises(ParseError, match="unknown conjecture id 'C99'"):  # the id before connectivity
+        check_graph("C99", Graph.from_edges(["a", "b"], []))
+    single = Graph.from_edges(["a"], [])
+    via, direct = _raised(check_graph, "C42", single), _raised(check_conjecture_42, single)
+    assert type(via) is type(direct) is EmptyGraph and str(via) == str(direct)
 
 
 def test_c44_examples():
@@ -379,6 +390,10 @@ def test_c44_errors():
         check_conjecture_44(path_graph(3))
     with pytest.raises(Disconnected):
         check_conjecture_44(Graph.from_edges(["a", "b", "c", "d"], [(0, 1), (2, 3)]))
+    with pytest.raises(Disconnected):  # connectivity before size
+        check_conjecture_44(Graph.from_edges(["a", "b", "c"], [(0, 1)]))
+    via, direct = _raised(check_graph, "C44", path_graph(3)), _raised(check_conjecture_44, path_graph(3))
+    assert type(via) is type(direct) is TooSmall and str(via) == str(direct)
 
 
 def test_induced_four_cycles_are_unit_equilateral_quadruples():
@@ -665,6 +680,8 @@ def test_pooled_search_matches_in_process_at_n8(monkeypatch):
     monkeypatch.setattr(quadruples, "graph_from_mask", lambda n, mask: built.append(mask) or build(n, mask))
     full = search("C44", 8, max_violations=100)
     monkeypatch.undo()
+    assert hashlib.sha256(full.to_json().encode()).hexdigest() == (
+        "63df4e1cba1ff5a92186f38097434d3c9606ffdba6c89beb6071aef933ceb896")
     assert len(full.violations) == 2
     assert len(built) == len({v.graph for v in full.violations})
     for k in (1, 2, 100):
