@@ -244,6 +244,13 @@ def _c44_witnesses(n: int, nbr: list[int]) -> list[tuple[int, int, int, int]]:
 _CONJECTURES = {"C42": (_c42_witnesses, 3, "mb_implies_shape"), "C44": (_c44_witnesses, 4, "ii_implies_i")}
 
 
+def _conjecture(conjecture_id: str) -> tuple:
+    """The id's `_CONJECTURES` entry; `ParseError` for any other id."""
+    if conjecture_id not in _CONJECTURES:
+        raise ParseError(f"unknown conjecture id {excerpt(conjecture_id)}; use C42 or C44")
+    return _CONJECTURES[conjecture_id]
+
+
 class ConjectureViolation(NamedTuple):
     conjecture_id: str
     graph: Graph
@@ -262,8 +269,7 @@ def check_graph(conjecture_id: str, g: Graph) -> list[ConjectureViolation]:
     """Conjecture `conjecture_id`'s violations on g, in its kernel's order.
     Raises `ParseError` for an id other than C42 or C44, then `Disconnected`,
     then `EmptyGraph` (C42, no edge) or `TooSmall` (C44, below 4 vertices)."""
-    if conjecture_id not in _CONJECTURES:
-        raise ParseError(f"unknown conjecture id {excerpt(conjecture_id)}; use C42 or C44")
+    kernel = _conjecture(conjecture_id)[0]
     nbr = [sum(1 << j for j in row) for row in g.adjacency]
     if not _is_connected(g.n, nbr):
         raise Disconnected("geodesic metric requires a connected graph")
@@ -271,7 +277,7 @@ def check_graph(conjecture_id: str, g: Graph) -> list[ConjectureViolation]:
         raise EmptyGraph("conjecture applies to graphs with at least one edge")
     if conjecture_id == "C44" and g.n < 4:
         raise TooSmall(f"need at least 4 vertices, got {g.n}")
-    return _violations(conjecture_id, g, _CONJECTURES[conjecture_id][0](g.n, nbr))
+    return _violations(conjecture_id, g, kernel(g.n, nbr))
 
 
 def check_conjecture_42(g: Graph) -> ConjectureViolation | None:
@@ -407,6 +413,53 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _forked(check, shards: list[Shard], jobs: int) -> list[tuple[int, list[Record]]]:
+    """`check` on every shard, in this process and jobs - 1 forked children,
+    each taking the next free 4-byte shard index from one pipe.  A child
+    marshals its results back through its own pipe; one that exits non-zero
+    or dies by a signal raises `ChildProcessError`.  No child outlives it."""
+    import contextlib
+    import gc
+    import marshal
+    import signal
+    queue, feed = (open(fd, mode, buffering=0) for fd, mode in zip(os.pipe(), ("rb", "wb")))
+    def take() -> list[tuple[int, list[Record]]]:
+        return [check(shards[int.from_bytes(i, "little")]) for i in iter(lambda: queue.read(4), b"")]
+    children = {}  # pid -> the read end of its result pipe
+    gc.freeze()  # the children's collector skips frozen objects, so it leaves the forked heap's pages shared
+    try:
+        for _ in range(jobs - 1):
+            pipe, out = os.pipe()
+            if not (pid := os.fork()):
+                code = 1
+                try:
+                    feed.close()
+                    with open(out, "wb") as sink:
+                        marshal.dump(take(), sink)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(out)
+            children[pid] = open(pipe, "rb")
+        feed.writelines(i.to_bytes(4, "little") for i in range(len(shards)))  # one write each, after the forks
+        feed.close()
+        results = take()
+        for pid, pipe in list(children.items()):
+            with pipe, contextlib.suppress(EOFError):  # a lost child's pipe ends early; its status says so
+                results += marshal.load(pipe)
+            del children[pid]
+            if status := os.waitpid(pid, 0)[1]:
+                raise ChildProcessError(f"sweep worker {pid} failed: wait status {status}")
+        return results
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for file in (queue, feed, *children.values()):
+            file.close()
+        gc.unfreeze()
+
+
 def search(
     conjecture_id: str,
     max_n: int,
@@ -420,16 +473,14 @@ def search(
 
     Read's trees are split into at least 32 shards per job
     (`split_trees`), and each shard is walked and checked where it runs:
-    in-process for jobs = 1, else in a pool of min(jobs, usable CPUs)
-    processes, widest shards first, results taken as they finish.  The
-    violations are merged in (n, mask) order, so the report is the same
-    for every `jobs`.
+    in-process for jobs = 1 or without `os.fork`, else by `_forked` in this
+    process and min(jobs, usable CPUs) - 1 forked children.  The violations
+    are merged in (n, mask) order, so the report is the same for every
+    `jobs`; a lost child raises `ChildProcessError`.
     """
-    if conjecture_id not in _CONJECTURES:
-        raise ParseError(f"unknown conjecture id {excerpt(conjecture_id)}; use C42 or C44")
+    min_n = _conjecture(conjecture_id)[1]
     if max_n > HARD_CAP:
         raise TooLarge(f"search needs 3 <= max_n <= {HARD_CAP}, got {max_n}")
-    min_n = _CONJECTURES[conjecture_id][1]
     if max_n < min_n:
         raise TooSmall(f"{conjecture_id} search needs max_n >= {min_n}, got {max_n}")
     if jobs < 1:
@@ -439,16 +490,5 @@ def search(
     jobs = min(jobs, _usable_cpus())
     shards = split_trees(min_n, max_n, 32 * jobs)
     check = functools.partial(_check_shard, conjecture_id, max_violations)
-    if jobs == 1:
-        return assemble_report(conjecture_id, max_n, map(check, shards), max_violations)
-    import gc
-    import multiprocessing  # only a pooled search pays for loading it
-
-    # Frozen objects are skipped by the workers' collector, which would
-    # otherwise write to, and so copy, every page of the forked heap.
-    gc.freeze()
-    try:
-        with multiprocessing.Pool(jobs) as pool:
-            return assemble_report(conjecture_id, max_n, pool.imap_unordered(check, shards), max_violations)
-    finally:
-        gc.unfreeze()
+    per_shard = _forked(check, shards, jobs) if jobs > 1 and hasattr(os, "fork") else map(check, shards)
+    return assemble_report(conjecture_id, max_n, per_shard, max_violations)

@@ -5,9 +5,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import multiprocessing
 import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -592,10 +593,10 @@ def test_search_report_json_deterministic():
 
 
 def test_search_jobs_one_runs_in_process(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("jobs=1 must not start a process pool")
+    def no_fork():
+        raise AssertionError("jobs=1 must not fork a worker")
 
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     assert search("C44", 5, jobs=1).graphs_checked == 27
 
 
@@ -603,22 +604,13 @@ def test_search_pool_is_at_most_one_worker_per_cpu(monkeypatch):
     sizes = []
     kept_per_shard = []
 
-    class InProcessPool:
-        def __init__(self, processes):
-            sizes.append(processes)
+    def in_process(check, shards, jobs):
+        sizes.append(jobs)
+        results = [check(shard) for shard in shards]
+        kept_per_shard.extend(len(kept) for _, kept in results)
+        return results[::-1]  # the last shard done first
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap_unordered(self, fn, items):
-            results = [fn(item) for item in items]
-            kept_per_shard.extend(len(kept) for _, kept in results)
-            return reversed(results)  # the last shard done first
-
-    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(quadruples, "_forked", in_process)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     expected = search("C44", 6).to_json()
@@ -641,13 +633,83 @@ def test_search_pool_is_at_most_one_worker_per_cpu(monkeypatch):
 
 def test_search_pool_follows_the_cpu_affinity(monkeypatch):
     """A process pinned to one CPU of a 64-CPU host runs jobs = 3 in-process."""
-    def no_pool(*args, **kwargs):
-        raise AssertionError("one usable CPU must not start a process pool")
+    def no_fork():
+        raise AssertionError("one usable CPU must not fork a worker")
 
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
     assert search("C44", 5, jobs=3).graphs_checked == 27
+
+
+def test_search_without_fork_runs_in_process(monkeypatch):
+    """Where the OS has no `fork` (Windows), jobs = 2 is the jobs = 1 sweep."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert search("C44", 6, jobs=2).to_json() == search("C44", 6, jobs=1).to_json()
+
+
+# Run in a fresh interpreter with a timeout, so that a search which waits
+# forever for a lost worker fails the test instead of hanging the suite.
+LOST_WORKER = """
+import json, os, signal, sys, time
+from metricgraph import cli, quadruples, search
+
+def no_child_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+parent = os.getpid()
+quadruples._usable_cpus = lambda: 2
+assert search("C44", 6, jobs=2) == search("C44", 6) and no_child_left()
+kernel, min_n, direction = quadruples._CONJECTURES["C44"]
+
+def killed_in_a_child(n, nbr):
+    if n == 7:
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        # The parent holds its first n = 7 class until the child is gone, so
+        # the child surely reaches one, however the shards fall.
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+    return kernel(n, nbr)
+
+quadruples._CONJECTURES["C44"] = (killed_in_a_child, min_n, direction)
+if sys.argv[1] == "cli":
+    code = cli.main(["search", "--conjecture", "4.4", "--max-n", "7", "--jobs", "2"])
+    sys.stderr.write(f"no child left: {no_child_left()}\\n")
+    sys.exit(code)
+t0 = time.perf_counter()
+try:
+    search("C44", 7, jobs=2)
+    raised = None
+except ChildProcessError as exc:
+    raised = str(exc)
+print(json.dumps({"raised": raised, "seconds": time.perf_counter() - t0, "no_child_left": no_child_left()}))
+"""
+
+
+@pytest.mark.parametrize("entry", ["library", "cli"])
+def test_a_lost_worker_raises_and_leaves_no_child(entry):
+    """A worker killed by SIGKILL (as the OOM killer would) makes a jobs = 2
+    search raise `ChildProcessError` at once, which the CLI writes as one
+    error document with exit 2; every child is reaped either way."""
+    env = {**os.environ, "PYTHONPATH": str(Path(quadruples.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", LOST_WORKER, entry], env=env,
+                          capture_output=True, text=True, timeout=60)
+    if entry == "library":
+        assert proc.returncode == 0, proc.stderr
+        outcome = json.loads(proc.stdout)
+        assert outcome["raised"] is not None and "wait status" in outcome["raised"]
+        assert outcome["seconds"] < 10
+        assert outcome["no_child_left"]
+    else:
+        assert proc.returncode == 2, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert list(doc) == ["error", "message"] and doc["error"] == "ChildProcessError"
+        assert proc.stderr.endswith("no child left: True\n")
 
 
 def test_sweeps_compute_rows_and_graphs_only_where_needed(monkeypatch):
@@ -672,7 +734,7 @@ def test_sweeps_compute_rows_and_graphs_only_where_needed(monkeypatch):
 
 
 def test_pooled_search_matches_in_process_at_n8(monkeypatch):
-    """A real pool, shards done in any order: each capped report is the
+    """Real forked workers, shards done in any order: each capped report is the
     first k violations of the uncapped in-process one, byte for byte.  The
     in-process sweep builds one `Graph` per violating class and no other."""
     built = []

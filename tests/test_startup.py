@@ -1,6 +1,6 @@
-"""What a fresh process loads: no command loads numpy, `search` included,
-the CLI import leaves multiprocessing to a pooled search, and it loads
-neither dataclasses nor inspect.
+"""What a fresh process loads: no command loads numpy or multiprocessing,
+a forked `search --jobs 2` included, and the CLI import loads neither
+dataclasses nor inspect.
 
 Each case runs in its own interpreter, because the test process itself may
 have imported numpy through another test dependency.
@@ -38,8 +38,8 @@ def run_python(code: str, *argv: str) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("module", ["numpy", "multiprocessing", "dataclasses", "inspect"])
 def test_importing_the_cli_does_not_load(module):
-    """Only a pooled search (jobs > 1) imports multiprocessing; the records
-    are NamedTuples, so no start-up pays for dataclasses and inspect."""
+    """The records are NamedTuples, so no start-up pays for dataclasses and
+    inspect."""
     proc = run_python(f"import sys, metricgraph.cli; print({module!r} in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
@@ -73,3 +73,18 @@ sys.stdout.write(pooled)
     proc = run_python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == search("C44", 6).to_json()
+
+
+def test_forked_search_does_not_load_multiprocessing():
+    """`search --jobs 2` forks its workers with `os` alone."""
+    code = """
+import sys
+from metricgraph.cli import main
+code = main(sys.argv[1:])
+sys.stderr.write(f"multiprocessing loaded: {'multiprocessing' in sys.modules}\\n")
+sys.exit(code)
+"""
+    proc = run_python(code, "search", "--conjecture", "4.4", "--max-n", "6", "--jobs", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == search("C44", 6).to_json()
+    assert proc.stderr.endswith("multiprocessing loaded: False\n")
