@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -127,6 +128,28 @@ def test_enumeration_count_n8():
     masks = stream_masks(8)
     assert len(masks) == KNOWN_COUNTS[8]
     assert all(a < b for a, b in zip(masks, masks[1:]))
+
+
+# sha256 of the concatenated `_encode(n, mask)` of the whole walk for n.
+STREAM_SHA256 = {
+    1: "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    2: "61d7e4731e7a6546d92e99105ffce332c9ab905311cba8dbad8ac4f3bbc49447",
+    3: "48a32e97024921f867433db951725e0477b38ceba5daddd34ce94df7dc00af9e",
+    4: "cd31e97a5c5192ac61d1fb437c47a4e01be8da5a6c5b55fb82990a3ee536f30f",
+    5: "0ca507d602f2472610c815d067946d5cf4279d6bfe3a7fcdd1471f7199fbd6ef",
+    6: "f17d3bdc898804321d16cc75aa2dbacd44ab8c6ae85f2d209afd567ef410da97",
+    7: "61ab07fb29f684967a64d81b3520423e2ae687dd3592b3c464ef137e33d2fd3c",
+    8: "0d5b1ee6232c3983617e8c4b1e09d1923c90361338bd80c0fe15dd17e60896dd",
+}
+
+
+@pytest.mark.parametrize("n", sorted(STREAM_SHA256))
+def test_enumeration_stream_is_pinned(n):
+    """The generator's exact output: a pruning fault that swaps one class's
+    representative for another of its masks fails here even where the
+    counts still match."""
+    stream = b"".join(_encode(n, mask) for mask in stream_masks(n))
+    assert hashlib.sha256(stream).hexdigest() == STREAM_SHA256[n]
 
 
 def test_enumeration_streams_the_first_class(monkeypatch):
