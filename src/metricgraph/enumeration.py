@@ -81,44 +81,62 @@ def _search(n: int, nbr: list[int], best: list[int], stop: bool) -> bool:
     Placing the k-th vertex fixes column k of every remaining vertex, its
     adjacency to the k vertices already placed; only a vertex whose column
     equals `best[k]` is placed, since a larger one leads to no smaller
-    string.  Each placement builds the next columns in one pass; one below
-    the bound proves a smaller string.  With `stop` the search then returns
-    True at once, leaving `best` as it was.  Otherwise that column of
-    `best` drops to it, the later ones are reset, and the search goes on,
-    leaving in `best` the least string over all vertex orders and
-    returning False.
+    string.  A column below the bound proves a smaller string.  With `stop`
+    the search then returns True at once, leaving `best` as it was.
+    Otherwise that column of `best` drops to it, the later ones are reset,
+    and the search goes on, leaving in `best` the least string over all
+    vertex orders and returning False.
+
+    The remaining vertices are cells (column, bitmask) in column order, so
+    the first cell holds the candidates; placing v splits each cell into
+    its non-neighbours, then its neighbours, built only on a tie.  Twins,
+    N(u) - {u'} = N(u') - {u}, swap by an automorphism that fixes every
+    other vertex, so a candidate whose next twin below is in its cell is
+    skipped: each class is placed lowest first, one subtree per level.
     """
     top = n - 1
     unset = [1 << n] * n  # above every column
+    twins = []  # the next twin below each vertex, as a bit, or 0
+    last: dict[int, int] = {}  # open twins share a row, closed ones a row with their own bit
+    for v, a in enumerate(nbr):
+        u = last.get(a, last.get(a | 1 << v, v))
+        twins.append(1 << u if u < v else 0)
+        last[a] = last[a | 1 << v] = v
 
-    def extend(k: int, cols: list[tuple[int, int]], cands: list[int] | range) -> bool:
-        # cols: (vertex, column k) for every remaining vertex; cands: the
-        # vertices among them whose column equals best[k].
+    def extend(k: int, cells: list[tuple[int, int]]) -> bool:
+        c0, m0 = cells[0]
         t1 = best[k + 1]
-        for v in cands:
+        todo = m0
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            v = bit.bit_length() - 1
+            if m0 & twins[v]:
+                continue
             nv = nbr[v]
-            nxt = []
-            eq = []
-            low = t1
-            for u, cu in cols:
-                if u != v:
-                    cu = cu << 1 | (nv >> u & 1)
-                    if cu <= low:
-                        if cu < low:
-                            if stop:
-                                return True
-                            low = cu
-                            eq = []
-                        eq.append(u)
-                    nxt.append((u, cu))
+            rest = m0 ^ bit
+            low = (c0 << 1 | (not rest & ~nv)) if rest else (cells[1][0] << 1 | (not cells[1][1] & ~nv))
+            if low > t1:
+                continue
             if low < t1:
+                if stop:
+                    return True
                 best[k + 1] = t1 = low
                 best[k + 2 :] = unset[k + 2 :]
-            if eq and k + 1 < top and extend(k + 1, nxt, eq):
-                return True
+            if k + 1 < top:
+                off = ~(nv | bit)
+                nxt = []
+                for c, m in cells:
+                    c <<= 1
+                    if m & off:
+                        nxt.append((c, m & off))
+                    if m & nv:
+                        nxt.append((c | 1, m & nv))
+                if extend(k + 1, nxt):
+                    return True
         return False
 
-    return n > 1 and extend(0, [(v, 0) for v in range(n)], range(n))
+    return n > 1 and extend(0, [(0, (1 << n) - 1)])
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -169,16 +187,24 @@ def _root(n: int) -> tuple[int, list[int]]:
 
 
 def _children(n: int, pairs: list[tuple[int, int]], mask: int, nbr: list[int]) -> Iterator[tuple[int, list[int]]]:
-    """The kept children of the node (mask, nbr), largest first."""
+    """The kept children of the node (mask, nbr), largest first.  Clearing
+    the pair (i, j) lowers column j alone, so a child whose column j - 1
+    exceeds column j without its last bit loses to the swap of j - 1 and j,
+    and is dropped without a search."""
     nbits = len(pairs)
+    cols = _columns(n, mask)
     for sig in range(_lowest_zero(mask)):
         i, j = pairs[nbits - 1 - sig]
+        best = list(cols)
+        best[j] ^= 1 << (j - 1 - i)
+        if cols[j - 1] > best[j] >> 1:
+            continue
         child_nbr = list(nbr)
         child_nbr[i] ^= 1 << j
         child_nbr[j] ^= 1 << i
-        child = mask ^ (1 << sig)
-        if _is_connected(n, child_nbr) and not _search(n, child_nbr, _columns(n, child), stop=True):
-            yield child, child_nbr
+        # the node is connected, so a common neighbour keeps the child so
+        if (child_nbr[i] & child_nbr[j] or _is_connected(n, child_nbr)) and not _search(n, child_nbr, best, stop=True):
+            yield mask ^ (1 << sig), child_nbr
 
 
 def enumerate_connected_graphs(n: int, root: tuple[int, list[int], bool] | None = None) -> Iterator[tuple[int, list[int]]]:

@@ -416,8 +416,10 @@ def _usable_cpus() -> int:
 def _forked(check, shards: list[Shard], jobs: int) -> list[tuple[int, list[Record]]]:
     """`check` on every shard, in this process and jobs - 1 forked children,
     each taking the next free 4-byte shard index from one pipe.  A child
-    marshals its results back through its own pipe; one that exits non-zero
-    or dies by a signal raises `ChildProcessError`.  No child outlives it."""
+    marshals its results back through its own pipe, or the type and text of
+    the exception that stopped it; one that exits non-zero or dies by a
+    signal raises `ChildProcessError` with that text or its wait status.
+    No child outlives it."""
     import contextlib
     import gc
     import marshal
@@ -434,9 +436,13 @@ def _forked(check, shards: list[Shard], jobs: int) -> list[tuple[int, list[Recor
                 code = 1
                 try:
                     feed.close()
+                    try:
+                        sent = take()
+                    except Exception as exc:  # the parent raises with its type and text
+                        sent = f"{type(exc).__name__}: {exc}"
                     with open(out, "wb") as sink:
-                        marshal.dump(take(), sink)
-                    code = 0
+                        marshal.dump(sent, sink)
+                    code = 1 if isinstance(sent, str) else 0
                 finally:
                     os._exit(code)
             os.close(out)
@@ -445,11 +451,14 @@ def _forked(check, shards: list[Shard], jobs: int) -> list[tuple[int, list[Recor
         feed.close()
         results = take()
         for pid, pipe in list(children.items()):
+            sent = []
             with pipe, contextlib.suppress(EOFError):  # a lost child's pipe ends early; its status says so
-                results += marshal.load(pipe)
+                sent = marshal.load(pipe)
             del children[pid]
             if status := os.waitpid(pid, 0)[1]:
-                raise ChildProcessError(f"sweep worker {pid} failed: wait status {status}")
+                why = sent if isinstance(sent, str) else f"wait status {status}"
+                raise ChildProcessError(f"sweep worker {pid} failed: {why}")
+            results += sent
         return results
     finally:
         for pid in children:

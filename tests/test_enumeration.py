@@ -95,6 +95,59 @@ def test_minimality_test_matches_slicing_oracle():
     assert {(n, v) for n in range(3, 8) for v in (False, True)} <= verdicts
 
 
+def complete_multipartite(*sizes: int) -> Graph:
+    part = [p for p, size in enumerate(sizes) for _ in range(size)]
+    n = len(part)
+    return Graph.from_edges([f"v{k}" for k in range(n)],
+                            [(u, v) for v in range(n) for u in range(v) if part[u] != part[v]])
+
+
+# x - y - z with open twins a1, a2, a3 on {x, y} and closed twins d1 ~ d2 on z.
+OPEN_AND_CLOSED = Graph.from_edges(
+    ["x", "y", "z", "a1", "a2", "a3", "d1", "d2"],
+    [(0, 1), (1, 2), *((a, b) for a in (3, 4, 5) for b in (0, 1)), (6, 7), (6, 2), (7, 2)],
+)
+TWIN_RICH = {
+    "K1,7": complete_multipartite(1, 7),
+    "K1,8": complete_multipartite(1, 8),
+    "K3,4": complete_multipartite(3, 4),
+    "K2,2,2": complete_multipartite(2, 2, 2),
+    "K2,2,3": complete_multipartite(2, 2, 3),
+    "K8 minus a perfect matching": complete_multipartite(2, 2, 2, 2),
+    "open and closed twins": OPEN_AND_CLOSED,
+    "C8": cycle_graph(8),
+}
+
+
+@pytest.mark.parametrize("name", list(TWIN_RICH))
+def test_twin_rich_graphs_match_the_oracles(name):
+    """Both uses of `_search` on graphs whose twin classes it prunes: the
+    canonical form is the brute-force minimum (n <= 8) and the same on 20
+    relabelings, and the minimality verdict on each relabeling's own mask,
+    and on the canonical mask, is the slicing oracle's."""
+    g = TWIN_RICH[name]
+    n = g.n
+    form = canonical_form(g)
+    if n <= 8:
+        assert form == oracles.brute_min_encoding(g)
+    canonical = int.from_bytes(form[1:], "big") >> (8 * len(form[1:]) - n * (n - 1) // 2)
+    masks = [canonical]
+    rng = random.Random(29)
+    for _ in range(20):
+        h = relabeled(g, rng)
+        assert canonical_form(h) == form
+        nbr = [sum(1 << j for j in row) for row in h.adjacency]
+        mask = 0
+        for k in range(n):
+            mask = mask << k | sum((nbr[k] >> i & 1) << (k - 1 - i) for i in range(k))
+        masks.append(mask)
+    for mask in masks:
+        nbr = nbr_of_mask(n, mask)
+        verdict = not _search(n, nbr, _columns(n, mask), stop=True)
+        assert verdict == oracles.is_orbit_minimal(n, mask, nbr), (name, mask)
+    assert not _search(n, nbr_of_mask(n, canonical), _columns(n, canonical), stop=True)
+
+
 def test_graph_from_mask_matches_the_edge_route():
     """Every mask, connected or not, for n <= 5 and a seeded sample at
     n = 7 and 9: the rows decoded from the columns give the graph that

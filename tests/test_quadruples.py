@@ -670,6 +670,8 @@ kernel, min_n, direction = quadruples._CONJECTURES["C44"]
 def killed_in_a_child(n, nbr):
     if n == 7:
         if os.getpid() != parent:
+            if sys.argv[2] == "raise":
+                raise ValueError("boom")
             os.kill(os.getpid(), signal.SIGKILL)
         # The parent holds its first n = 7 class until the child is gone, so
         # the child surely reaches one, however the shards fall.
@@ -697,7 +699,7 @@ def test_a_lost_worker_raises_and_leaves_no_child(entry):
     search raise `ChildProcessError` at once, which the CLI writes as one
     error document with exit 2; every child is reaped either way."""
     env = {**os.environ, "PYTHONPATH": str(Path(quadruples.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-c", LOST_WORKER, entry], env=env,
+    proc = subprocess.run([sys.executable, "-c", LOST_WORKER, entry, "kill"], env=env,
                           capture_output=True, text=True, timeout=60)
     if entry == "library":
         assert proc.returncode == 0, proc.stderr
@@ -710,6 +712,20 @@ def test_a_lost_worker_raises_and_leaves_no_child(entry):
         doc = json.loads(proc.stdout)
         assert list(doc) == ["error", "message"] and doc["error"] == "ChildProcessError"
         assert proc.stderr.endswith("no child left: True\n")
+
+
+def test_a_failing_worker_reports_its_exception():
+    """A kernel that raises in a forked worker reaches the CLI as one
+    `ChildProcessError` document carrying the exception's type and text,
+    with exit 2; every child is reaped."""
+    env = {**os.environ, "PYTHONPATH": str(Path(quadruples.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", LOST_WORKER, "cli", "raise"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert list(doc) == ["error", "message"] and doc["error"] == "ChildProcessError"
+    assert "ValueError: boom" in doc["message"]
+    assert proc.stderr.endswith("no child left: True\n")
 
 
 def test_sweeps_compute_rows_and_graphs_only_where_needed(monkeypatch):
