@@ -207,7 +207,7 @@ def test_enumeration_stream_is_pinned(n):
 
 def test_enumeration_streams_the_first_class(monkeypatch):
     """The first n = 8 class comes out after the minimality tests on one
-    root-to-leaf path and its siblings, not after all 19 835 of the level."""
+    root-to-leaf path and its siblings, not after all 15 583 of the level."""
     calls = 0
     search = enumeration._search
 

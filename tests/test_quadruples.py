@@ -667,7 +667,7 @@ quadruples._usable_cpus = lambda: 2
 assert search("C44", 6, jobs=2) == search("C44", 6) and no_child_left()
 kernel, min_n, direction = quadruples._CONJECTURES["C44"]
 
-def killed_in_a_child(n, nbr):
+def failing_in_a_child(n, nbr):
     if n == 7:
         if os.getpid() != parent:
             if sys.argv[2] == "raise":
@@ -678,7 +678,7 @@ def killed_in_a_child(n, nbr):
         os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
     return kernel(n, nbr)
 
-quadruples._CONJECTURES["C44"] = (killed_in_a_child, min_n, direction)
+quadruples._CONJECTURES["C44"] = (failing_in_a_child, min_n, direction)
 if sys.argv[1] == "cli":
     code = cli.main(["search", "--conjecture", "4.4", "--max-n", "7", "--jobs", "2"])
     sys.stderr.write(f"no child left: {no_child_left()}\\n")
