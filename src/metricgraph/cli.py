@@ -142,18 +142,12 @@ def _construction(args: argparse.Namespace, name: str, result: RealizationResult
 
 
 def cmd_realize(args: argparse.Namespace) -> _Outcome:
-    m = _load_metric(args.input, args.format)
-    if args.fallback_embed:
-        # `embed` with no irreducible pair builds the graph `realize` builds.
-        result = embed(m)
-        return _construction(args, "realize+fallback" if result.aux_count else "realize", result)
     try:
-        result = realize(m)
+        result = realize(_load_metric(args.input, args.format))
     except ConditionFailed as exc:
         return DOMAIN_NEGATIVE, {"command": "realize", "error": "condition_failed",
                                  "witness": list(exc.witness)}, (
-            f"realize: no point between {exc.witness}; "
-            f"rerun with --fallback-embed to subdivide")
+            f"realize: no point between {exc.witness}; run embed to subdivide")
     return _construction(args, "realize", result)
 
 
@@ -262,10 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--map", help="write the point-to-vertex map to this file")
         p.add_argument("--require-onto", action="store_true",
                        help="fail unless the map is onto the host graph (isometry)")
-        if name == "realize":
-            p.add_argument("--fallback-embed", action="store_true",
-                           help="fall back to subdivision embedding when exact "
-                                "realization is impossible")
         p.set_defaults(func=func)
 
     p = sub.add_parser("distances", help="geodesic distance matrix of a graph")

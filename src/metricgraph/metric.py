@@ -205,9 +205,7 @@ class MetricSpace(_MetricFields):
     """
 
     def __new__(cls, labels: tuple[str, ...], dist: tuple[tuple[Rational, ...], ...]) -> "MetricSpace":
-        if len(labels) == 0:
-            raise MetricViolation("shape", (), "a metric space needs at least one point")
-        index = label_index(labels, "point")
+        m = cls._of_metric(labels, dist)
         if len(dist) != len(labels):
             raise MetricViolation(
                 "shape", (),
@@ -216,8 +214,6 @@ class MetricSpace(_MetricFields):
         violation = find_metric_violation(dist)
         if violation is not None:
             raise violation
-        m = tuple.__new__(cls, (labels, dist))
-        m._index = index  # type: ignore[attr-defined]
         return m
 
     @classmethod
@@ -231,8 +227,10 @@ class MetricSpace(_MetricFields):
 
     @classmethod
     def _of_metric(cls, labels: tuple[str, ...], dist: tuple[tuple[Rational, ...], ...]) -> "MetricSpace":
-        """A space on a table that is a metric by construction: the labels are
-        checked, and the axiom scan is skipped."""
+        """A space on a table that is a metric by construction, built here for
+        `__new__` too: it checks for a point, then the labels, but no axiom."""
+        if len(labels) == 0:
+            raise MetricViolation("shape", (), "a metric space needs at least one point")
         m = tuple.__new__(cls, (labels, dist))
         m._index = label_index(labels, "point")  # type: ignore[attr-defined]
         return m
@@ -254,8 +252,6 @@ class MetricSpace(_MetricFields):
         """Subspace on the given labels, in the given order.  A sub-table of
         a metric is a metric, so only the labels are checked."""
         idx = [self.index(lab) for lab in labels]
-        if not idx:
-            raise MetricViolation("shape", (), "a metric space needs at least one point")
         return MetricSpace._of_metric(tuple(labels), tuple(tuple(self.dist[i][j] for j in idx) for i in idx))
 
 

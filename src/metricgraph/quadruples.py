@@ -416,10 +416,10 @@ def _usable_cpus() -> int:
 def _forked(check, shards: list[Shard], jobs: int) -> list[tuple[int, list[Record]]]:
     """`check` on every shard, in this process and jobs - 1 forked children,
     each taking the next free 4-byte shard index from one pipe.  A child
-    marshals its results back through its own pipe, or the type and text of
-    the exception that stopped it; one that exits non-zero or dies by a
-    signal raises `ChildProcessError` with that text or its wait status.
-    No child outlives it."""
+    marshals its results back through its own pipe, or empties the queue and
+    sends the type and text of the exception that stopped it; one that exits
+    non-zero or dies by a signal (so it cannot empty the queue) raises
+    `ChildProcessError` with that text or its wait status.  No child outlives it."""
     import contextlib
     import gc
     import marshal
@@ -439,6 +439,8 @@ def _forked(check, shards: list[Shard], jobs: int) -> list[tuple[int, list[Recor
                     try:
                         sent = take()
                     except Exception as exc:  # the parent raises with its type and text
+                        while queue.read(4):  # a whole index at a time, as every reader takes them
+                            pass
                         sent = f"{type(exc).__name__}: {exc}"
                     with open(out, "wb") as sink:
                         marshal.dump(sent, sink)

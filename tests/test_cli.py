@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import ast
 import io
+import itertools
 import json
 import random
 import shlex
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,11 @@ from metricgraph.errors import ConditionFailed, Disconnected, MetricGraphError, 
 from metricgraph.quadruples import ConjectureReport, check_graph
 from metricgraph.realization import DistanceMismatch
 
+import oracles
 import randgen
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from checks import bfs, read_graph  # noqa: E402  the benchmark's own graph reader and BFS
 
 EGYPTIAN_JSON = '{"points": ["x1", "x2", "x3"], "distances": [[0,3,4],[3,0,5],[4,5,0]]}'
 
@@ -113,7 +119,7 @@ def test_realize_witness_and_fallback(tmp_path, capsys):
     assert code == 1
     assert json.loads(out)["witness"] == ["a", "b"]
 
-    code, out, _ = run(capsys, "realize", path, "--fallback-embed")
+    code, out, _ = run(capsys, "embed", path)
     assert code == 0
     doc = json.loads(out)
     assert doc["aux_count"] == 1
@@ -163,7 +169,7 @@ def test_embed_egyptian_bytes(tmp_path, capsys):
 def test_embed_too_large_is_usage_error(tmp_path, capsys):
     path = write(tmp_path, "huge.json",
                  '{"points": ["a", "b"], "distances": [[0,"1e100000"],["1e100000",0]]}')
-    for argv in (["embed", path], ["ceil-embed", path], ["realize", path, "--fallback-embed"]):
+    for argv in (["embed", path], ["ceil-embed", path]):
         code, out, _ = run(capsys, *argv)
         assert code == 2
         assert json.loads(out)["error"] == "TooLarge"
@@ -629,7 +635,7 @@ _PATCHES = {
 @pytest.mark.parametrize("argv, expected", [
     ("validate {p4}", 0), ("validate {egy}", 1), ("validate {asym}", 1),
     ("validate {half}", 1), ("validate {bad}", 2),
-    ("realize {p4}", 0), ("realize {d2}", 1), ("realize {d2} --fallback-embed --require-onto", 1),
+    ("realize {p4}", 0), ("realize {d2}", 1), ("realize {d2} --fallback-embed", (2, "ParseError")),
     ("realize {half}", 2), ("realize {p4} --out {dir}", 2),
     ("embed {egy}", 0), ("embed {egy} --require-onto", 1), ("embed {huge}", 2),
     ("embed {asym}", 2), ("embed {egy} --out {dir}", 2), ("embed {egy} --map {dir}", 2),
@@ -812,3 +818,91 @@ def test_check_requires_mode(tmp_path, capsys):
     code, out, _ = run(capsys, "check", path)
     assert code == 2
     assert json.loads(out)["error"] == "ParseError"
+
+
+# ---------------------------------------------------------------------------
+# Constructions and graph commands against independent oracles
+# ---------------------------------------------------------------------------
+
+def _host_distances(capsys, host: Path, points: tuple[str, ...], *argv: str) -> tuple[int, dict, list | None]:
+    """Run one construction with `--out host`, then measure its points (each
+    the host vertex with its own label) by the benchmark's reader and BFS."""
+    host.unlink(missing_ok=True)
+    code, out, _ = run(capsys, *argv, "--out", str(host))
+    if code:
+        return code, json.loads(out), None
+    labels, adj = read_graph(host.read_text())
+    at = [labels.index(p) for p in points]
+    return code, json.loads(out), [[bfs(adj, s)[t] for t in at] for s in at]
+
+
+def test_constructions_match_the_oracles(tmp_path, capsys):
+    """`realize` and `embed` hosts keep every distance of graph metrics,
+    [a, 2a] tables and subset metrics, and `ceil-embed` hosts satisfy
+    d <= d_G < d + 1 on decimal tables; `realize` fails exactly at the
+    first pair at distance >= 2 with no point between."""
+    rng = random.Random(30)
+    metrics = [geodesic_metric(randgen.random_connected_graph(rng, rng.randint(2, 7))) for _ in range(5)]
+    metrics += [randgen.random_int_metric_rejection(rng, rng.randint(2, 6), a, 2 * a) for a in (1, 1, 2, 3, 5)]
+    metrics += [randgen.random_subset_metric(rng, 6) for _ in range(5)]
+    host = tmp_path / "host.json"
+    for k, m in enumerate(metrics):
+        src = write(tmp_path, f"m{k}.json", dump_metric(m))
+        table = [list(row) for row in m.dist]
+        witness = next(([m.labels[i], m.labels[j]] for i, j in itertools.combinations(range(m.n), 2)
+                        if m.dist[i][j] >= 2 and not oracles.has_between_point(m, i, j)), None)
+        code, doc, got = _host_distances(capsys, host, m.labels, "realize", src)
+        assert (code, doc.get("witness"), got) == ((0, None, table) if witness is None else (1, witness, None))
+        code, _, got = _host_distances(capsys, host, m.labels, "embed", src)
+        assert (code, got) == (0, table)
+    for k in range(8):
+        m = randgen.random_decimal_metric(rng, 6)
+        src = write(tmp_path, f"q{k}.json", dump_metric(m))
+        code, _, got = _host_distances(capsys, host, m.labels, "ceil-embed", src)
+        assert code == 0
+        assert all(d <= d_g < d + 1 for row, host_row in zip(m.dist, got) for d, d_g in zip(row, host_row))
+
+
+def test_graph_commands_match_the_oracles(tmp_path, capsys):
+    """`distances` equals the simple-path oracle (exit 1 when a pair has no
+    path), and `check --mb`, `--line` and `--plq` equal the brute-force
+    betweenness, sign and pattern oracles."""
+    rng = random.Random(31)
+    for k in range(12):
+        n = rng.randint(1, 7)
+        g = Graph.from_edges([f"v{i}" for i in range(n)],
+                             [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4])
+        brute = oracles.brute_distance_matrix(g)
+        code, out, _ = run(capsys, "distances", write(tmp_path, f"g{k}.json", dump_graph(g)))
+        if any(None in row for row in brute):
+            assert (code, json.loads(out)["error"]) == (1, "disconnected")
+        else:
+            assert (code, json.loads(out)["distances"]) == (0, brute)
+    metrics = [randgen.random_line_subset_metric(rng, 3, 7) for _ in range(5)]
+    metrics += [randgen.random_subset_metric(rng, 6) for _ in range(10)]
+    for k, m in enumerate(metrics):
+        src = write(tmp_path, f"m{k}.json", dump_metric(m))
+        witness = oracles.first_mb_violation(m)
+        code, out, _ = run(capsys, "check", "--mb", src)
+        assert (code, json.loads(out)["witness"]) == ((0, None) if witness is None else (1, list(witness)))
+        signs = oracles.line_embed_by_signs(m)
+        code, out, _ = run(capsys, "check", "--line", src)
+        coords = json.loads(out)["coordinates"]
+        assert (code, coords is None) == (int(signs is None), signs is None)
+        if coords is not None:  # unique up to a shift and a reflection
+            x = {p: Fraction(v) - Fraction(coords[m.labels[0]]) for p, v in coords.items()}
+            assert x in (signs, {p: -v for p, v in signs.items()})
+    # Four points spaced s, t, s, t around a cycle of length 2(s + t) form a
+    # pseudo-linear quadruple; random 4-point subset metrics mostly do not.
+    quads = [randgen.random_subset_metric(rng, 4, min_points=4) for _ in range(8)]
+    for s, t in ((1, 1), (1, 2), (2, 3)):
+        quads.append(geodesic_metric(cycle_graph(2 * (s + t))).restrict(
+            [f"v{i}" for i in (0, s, s + t, 2 * s + t)]))
+    for k, m in enumerate(quads):
+        orderings = oracles.plq_pattern_orderings(m)
+        code, out, _ = run(capsys, "check", "--plq", write(tmp_path, f"quad{k}.json", dump_metric(m)))
+        doc = json.loads(out)
+        assert (code, doc["plq"]) == (int(not orderings), bool(orderings))
+        if orderings:
+            a, b, c, _ = doc["ordering"]
+            assert tuple(doc["ordering"]) in orderings and (doc["s"], doc["t"]) == (m.d(a, b), m.d(b, c))

@@ -35,7 +35,7 @@ MAX_POINTS = 16
 MAX_HEADER = 64
 
 COMMANDS = [
-    "validate", "realize", "realize --fallback-embed --require-onto", "embed", "embed --require-onto",
+    "validate", "realize", "embed", "embed --require-onto",
     "ceil-embed", "distances", "check --mb", "check --line",
 ]
 

@@ -728,6 +728,52 @@ def test_a_failing_worker_reports_its_exception():
     assert proc.stderr.endswith("no child left: True\n")
 
 
+DRAINING_WORKER = """
+import json, os
+from metricgraph import quadruples
+
+parent = os.getpid()
+quadruples._usable_cpus = lambda: 2
+kernel, min_n, direction = quadruples._CONJECTURES["C44"]
+
+def failing_in_a_child(n, nbr):
+    if os.getpid() != parent:
+        raise ValueError("boom")
+    return kernel(n, nbr)
+
+quadruples._CONJECTURES["C44"] = (failing_in_a_child, min_n, direction)
+check, parent_shards = quadruples._check_shard, []
+
+def counted(*args):
+    if os.getpid() == parent:
+        parent_shards.append(args[-1])
+        if len(parent_shards) == 1:  # hold the first shard until the child is gone
+            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+    return check(*args)
+
+quadruples._check_shard = counted
+try:
+    quadruples.search("C44", 7, jobs=2)
+    raised = None
+except ChildProcessError as exc:
+    raised = str(exc)
+print(json.dumps({"raised": raised, "parent_shards": len(parent_shards)}))
+"""
+
+
+def test_a_failing_worker_empties_the_queue():
+    """A worker whose kernel raises reads the shard queue to its end before
+    it exits, so the parent raises after the shard it holds instead of
+    checking the other shards itself."""
+    env = {**os.environ, "PYTHONPATH": str(Path(quadruples.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", DRAINING_WORKER], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    outcome = json.loads(proc.stdout)
+    assert "ValueError: boom" in outcome["raised"]
+    assert outcome["parent_shards"] < 8, outcome
+
+
 def test_sweeps_compute_rows_and_graphs_only_where_needed(monkeypatch):
     """At n <= 7 the kernel computes BFS rows for C42 only on the cycles
     with n >= 5, and for C44 only on the classes of diameter >= 4, one BFS
