@@ -5,8 +5,8 @@ Distances are exact rationals: an integral distance is stored as a Python
 `.numerator` and `.denominator`).  No floating point is used anywhere, so
 strict inequalities (needed by the ceiling-embedding distortion bound) are
 decided exactly.  A `MetricSpace` validates all three metric axioms at
-construction time, except where the package builds a metric by
-construction, and is immutable afterwards.
+construction time, in a pass that also finds its irreducible pairs, except
+where the package builds a metric by construction, and is immutable afterwards.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import operator
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     MetricViolation,
@@ -93,7 +93,7 @@ def rational_to_json(q: Rational) -> int | str:
 # ---------------------------------------------------------------------------
 
 def find_metric_violation(
-    dist: tuple[tuple[Rational, ...], ...]
+    dist: tuple[tuple[Rational, ...], ...], pairs: list[tuple[int, int]] | None = None
 ) -> MetricViolation | None:
     """Return the first metric-axiom violation of a square table, or None.
 
@@ -107,8 +107,11 @@ def find_metric_violation(
     triangle test when t[i][j] is at most the row minimum of
     t[i][k] + t[j][k] over all k; row j stands in for column j because
     symmetry is checked first, and k = i or k = j gives exactly t[i][j].
-    A failing pair's witness is its first k on t, as in the plain triple
-    loop, since scaling by L > 0 keeps every comparison.
+    Any other k that does lies between i and j, so on an integral table
+    (L = 1) a passing pair at distance >= 2 whose row sum hits t[i][j] only
+    twice is irreducible: it is appended to `pairs`, when given, in scan
+    order.  A failing pair's witness is its first k on t, as in the plain
+    triple loop, since scaling by L > 0 keeps every comparison.
 
     The first pass reads each entry once, for its denominator, and raises
     `ParseError` for one that is not exactly an `int` or a `Fraction`, before
@@ -156,12 +159,16 @@ def find_metric_violation(
                     "nonpositive", (i, j),
                     f"d[{i}][{j}] = {dist[i][j]} must be positive for distinct points",
                 )
+    keep = pairs is not None and scale == 1
     for i in range(n):
         ti = t[i]
         for j in range(i + 1, n):
-            if ti[j] <= min(map(operator.add, ti, t[j])):
+            sums = list(map(operator.add, ti, t[j]))
+            if ti[j] <= min(sums):
+                if keep and ti[j] >= 2 and sums.count(ti[j]) == 2:
+                    pairs.append((i, j))  # type: ignore[union-attr]
                 continue
-            k = next(k for k in range(n) if ti[j] > ti[k] + t[j][k])
+            k = next(k for k, s in enumerate(sums) if ti[j] > s)
             return MetricViolation(
                 "triangle", (i, j, k),
                 f"d[{i}][{j}] = {dist[i][j]} > "
@@ -211,9 +218,11 @@ class MetricSpace(_MetricFields):
                 "shape", (),
                 f"{len(labels)} labels but {len(dist)} table rows",
             )
-        violation = find_metric_violation(dist)
+        pairs: list[tuple[int, int]] = []
+        violation = find_metric_violation(dist, pairs)
         if violation is not None:
             raise violation
+        m._pairs = tuple(pairs)  # type: ignore[attr-defined]
         return m
 
     @classmethod
@@ -273,22 +282,15 @@ def between(m: MetricSpace, x: str, y: str, z: str) -> bool:
     return m.dist[ix][iz] == m.dist[ix][iy] + m.dist[iy][iz]
 
 
-def _irreducible_pairs(m: MetricSpace) -> Iterator[tuple[str, str]]:
-    """Pairs at distance >= 2 with no point between them, lazily and in
-    lexicographic order by point index.  Requires an integer metric.
-
-    k = i and k = j always give d(i,k) + d(k,j) = d(i,j), and any other k
-    that does lies between i and j, so a pair is irreducible exactly when
-    the row sum d[i] + d[j] hits d(i,j) twice."""
+def _irreducible_pairs(m: MetricSpace) -> tuple[tuple[str, str], ...]:
+    """Pairs at distance >= 2 with no point between them, in lexicographic
+    order by point index, as found by validating `m` (once, for a space
+    built by construction).  Requires an integer metric."""
     if not is_integer_metric(m):
         raise NotIntegerMetric("operation requires an integer-valued metric")
-    d = m.dist
-    add = operator.add
-    for i, row in enumerate(d):
-        for j in range(i + 1, m.n):
-            dij = row[j]
-            if dij >= 2 and list(map(add, row, d[j])).count(dij) == 2:
-                yield (m.labels[i], m.labels[j])
+    if getattr(m, "_pairs", None) is None:
+        m._pairs = MetricSpace(m.labels, m.dist)._pairs  # type: ignore[attr-defined]
+    return tuple((m.labels[i], m.labels[j]) for i, j in m._pairs)  # type: ignore[attr-defined]
 
 
 def compute_x2_set(m: MetricSpace) -> tuple[tuple[str, str], ...]:
@@ -296,25 +298,22 @@ def compute_x2_set(m: MetricSpace) -> tuple[tuple[str, str], ...]:
     between point, as label pairs in lexicographic order by point index.
     Each such pair receives its own subdivision path in the embedding
     construction.  Requires an integer metric."""
-    return tuple(_irreducible_pairs(m))
+    return _irreducible_pairs(m)
 
 
 def kay_chartrand_check(m: MetricSpace) -> tuple[str, str] | None:
-    """Check that every pair at distance >= 2 has some point between it.
-
-    Returns None when the condition holds (the metric is then exactly the
-    geodesic metric of the distance-1 graph), otherwise the first
-    irreducible pair of `compute_x2_set`.  Requires an integer metric.
-    """
-    return next(_irreducible_pairs(m), None)
+    """None when every pair at distance >= 2 has a point between it (the
+    metric is then exactly the geodesic metric of the distance-1 graph),
+    else the first pair of `compute_x2_set`.  Requires an integer metric."""
+    return next(iter(_irreducible_pairs(m)), None)
 
 
 def ceiling_metric(m: MetricSpace) -> MetricSpace:
     """Round every distance up to the nearest integer.
 
-    The result is itself a metric, as ceil(a + b) <= ceil(a) + ceil(b), so
-    it is not re-validated; `ceil_embed`'s BFS check of its host graph
-    would catch a bad table anyway.
+    The result is a metric, as ceil(a + b) <= ceil(a) + ceil(b), so it is
+    built unscanned; `embed` reads its pairs from one validating pass, and
+    `ceil_embed`'s BFS check of its host would catch a bad table anyway.
     """
     return MetricSpace._of_metric(m.labels, tuple(tuple(math.ceil(v) for v in row) for row in m.dist))
 

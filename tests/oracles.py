@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
+from typing import Iterator
 
 from metricgraph import (
     EmptyGraph, Graph, MetricSpace, MetricViolation, ParseError, TooSmall, classify_shape,
@@ -114,6 +117,74 @@ def brute_connected_class_count(n: int) -> int:
             img = frozenset(frozenset({perm[a] for a in e}) for e in rep)
             remaining.discard(img)
     return classes
+
+
+def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into parts of at most `largest`, largest part first."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first, *rest)
+
+
+def _poly_add(p: list, q: list, scale: Fraction = Fraction(1)) -> list:
+    """p + scale * q, coefficient lists indexed by degree."""
+    out = p + [0] * (len(q) - len(p))
+    for k, c in enumerate(q):
+        out[k] += scale * c
+    return out
+
+
+def _poly_mul(p: list, q: list) -> list:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def polya_connected_counts(max_n: int) -> list[list[int]]:
+    """counts[n][m]: connected graphs on n unlabeled vertices with m edges,
+    n <= max_n, counted by Polya's theorem without building a graph.
+
+    A vertex cycle of length a moves the pairs inside it in (a - 1) // 2
+    cycles of length a, plus one of length a / 2 when a is even; two vertex
+    cycles of lengths a and b move the pairs across them in gcd(a, b)
+    cycles of length lcm(a, b).  A graph fixed by the permutation holds
+    each pair cycle whole or not at all, so by Burnside the graphs on n
+    vertices count as g_n(x) = sum over cycle types of prod(1 + x^len) / z.
+    Every graph is a multiset of connected ones (the Euler transform), so
+    log(sum_n g_n y^n) = sum_k C(x^k, y^k) / k, inverted here for the
+    connected C_n(x) in exact arithmetic."""
+    g: list[list] = [[Fraction(1)]]
+    for n in range(1, max_n + 1):
+        g_n: list = [0]
+        for parts in _partitions(n, n):
+            lengths = [a for a in parts for _ in range((a - 1) // 2)] + [a // 2 for a in parts if a % 2 == 0]
+            lengths += [math.lcm(a, b) for i, a in enumerate(parts) for b in parts[i + 1:]
+                        for _ in range(math.gcd(a, b))]
+            fixed = functools.reduce(_poly_mul, ([1] + [0] * (k - 1) + [1] for k in lengths), [1])
+            z = math.prod(a ** k * math.factorial(k) for a, k in Counter(parts).items())
+            g_n = _poly_add(g_n, fixed, Fraction(1, z))
+        g.append(g_n)
+    log: list[list] = [[]]  # n * g_n = sum over k <= n of k * log_k * g_(n-k)
+    for n in range(1, max_n + 1):
+        log_n = g[n]
+        for k in range(1, n):
+            log_n = _poly_add(log_n, _poly_mul(log[k], g[n - k]), Fraction(-k, n))
+        log.append(log_n)
+    connected: list[list] = [[]]
+    for n in range(1, max_n + 1):
+        c_n = log[n]
+        for k in range(2, n + 1):
+            if n % k == 0:  # the term C_(n/k)(x^k) / k
+                spread = [0] * ((len(connected[n // k]) - 1) * k + 1)
+                spread[::k] = connected[n // k]
+                c_n = _poly_add(c_n, spread, Fraction(-1, k))
+        connected.append(c_n)
+    assert all(c.denominator == 1 for c_n in connected for c in c_n)
+    return [[int(c) for c in c_n] for c_n in connected]
 
 
 def brute_min_encoding(g: Graph) -> bytes:

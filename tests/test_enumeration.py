@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -181,6 +182,17 @@ def test_enumeration_count_n8():
     masks = stream_masks(8)
     assert len(masks) == KNOWN_COUNTS[8]
     assert all(a < b for a, b in zip(masks, masks[1:]))
+
+
+def test_edge_counts_match_polya():
+    """Each class's mask has one bit per edge, so the stream's popcount
+    histogram is the number of classes per edge count, which Polya's count
+    gives independently for n <= 8; its totals are A001349 for n <= 10."""
+    counts = oracles.polya_connected_counts(10)
+    for n in range(1, 9):
+        histogram = Counter(mask.bit_count() for mask in stream_masks(n))
+        assert histogram == {m: c for m, c in enumerate(counts[n]) if c}, n
+    assert [sum(counts[n]) for n in range(1, 11)] == [*KNOWN_COUNTS.values(), 261080, 11716571]
 
 
 # sha256 of the concatenated `_encode(n, mask)` of the whole walk for n.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metricgraph
+from metricgraph import cli
 from metricgraph import (
     MetricSpace,
     MetricViolation,
@@ -198,7 +200,7 @@ def test_restrict_checks_labels_and_trusts_the_table(monkeypatch):
     axiom scan, but still rejects an unknown, a repeated or no label."""
     m = geodesic_metric(path_graph(4))
     calls = []
-    monkeypatch.setattr(metricgraph.metric, "find_metric_violation", lambda dist: calls.append(dist))
+    monkeypatch.setattr(metricgraph.metric, "find_metric_violation", lambda dist, pairs=None: calls.append(dist))
     sub = m.restrict(["v3", "v0", "v1"])
     assert (sub.labels, sub.dist) == (("v3", "v0", "v1"), ((0, 3, 2), (3, 0, 1), (2, 1, 0)))
     assert sub.d("v0", "v3") == 3
@@ -498,20 +500,56 @@ def test_x2_examples():
 @given(st.integers(0, 2 ** 32))
 def test_x2_matches_kay_chartrand(seed):
     """The Kay-Chartrand witness is the first irreducible pair, or None when
-    there is none; both agree with the direct betweenness oracle."""
+    there is none; both agree with the direct betweenness oracle, on pairs
+    kept by `MetricSpace(...)`'s validation and on pairs found later for a
+    space built by construction (`restrict`, `ceiling_metric`), before and
+    after a pickle round trip."""
     rng = random.Random(seed)
     m = (randgen.random_subset_metric(rng, 6) if rng.random() < 0.6
          else randgen.random_int_metric_rejection(rng, rng.randint(2, 5)))
-    x2 = compute_x2_set(m)
-    expected = [
-        (m.labels[i], m.labels[j])
-        for i in range(m.n)
-        for j in range(i + 1, m.n)
-        if m.dist[i][j] >= 2 and not oracles.has_between_point(m, i, j)
-    ]
-    assert list(x2) == expected
-    assert kay_chartrand_check(m) == next(iter(x2), None)
-    assert kay_chartrand_check(m) == next(iter(expected), None)
+    spaces = [m, m.restrict(m.labels), ceiling_metric(randgen.random_decimal_metric(rng, 6))]
+    for space in spaces[:2]:
+        compute_x2_set(space)  # the pickles below carry the pairs found
+        spaces += [pickle.loads(pickle.dumps(space, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for space in spaces:
+        x2 = compute_x2_set(space)
+        expected = [
+            (space.labels[i], space.labels[j])
+            for i in range(space.n)
+            for j in range(i + 1, space.n)
+            if space.dist[i][j] >= 2 and not oracles.has_between_point(space, i, j)
+        ]
+        assert list(x2) == expected
+        assert kay_chartrand_check(space) == next(iter(expected), None)
+
+
+def test_the_validating_pass_runs_once_per_space(tmp_path, monkeypatch):
+    """`MetricSpace(...)` keeps the irreducible pairs its validation found,
+    and a space built by construction gets them from one more run of that
+    pass; so each CLI construction validates its input once, and
+    `ceil-embed` its ceiling table once more."""
+    calls = []
+    validate = metricgraph.metric.find_metric_violation
+    monkeypatch.setattr(metricgraph.metric, "find_metric_violation",
+                        lambda *args: calls.append(args) or validate(*args))
+    m = MetricSpace.from_rows(EGYPTIAN.labels, EGYPTIAN.dist)
+    assert len(calls) == 1
+    for space, runs in ((m, 0), (m.restrict(["x3", "x1"]), 1), (geodesic_metric(path_graph(5)), 1)):
+        calls.clear()
+        x2 = compute_x2_set(space)
+        assert compute_x2_set(space) == x2 and kay_chartrand_check(space) == next(iter(x2), None)
+        assert len(calls) == runs
+    egy, path = tmp_path / "egy.json", tmp_path / "path.json"
+    egy.write_text(dump_metric(EGYPTIAN))
+    path.write_text(dump_metric(geodesic_metric(path_graph(4))))
+    decimal = tmp_path / "decimal.json"
+    decimal.write_text('{"points": ["a", "b", "c"], '
+                       '"distances": [[0, "1.5", "2.5"], ["1.5", 0, "1.25"], ["2.5", "1.25", 0]]}')
+    for command, file, code, runs in (("validate", egy, 1, 1), ("embed", egy, 0, 1), ("realize", path, 0, 1),
+                                      ("realize", egy, 1, 1), ("ceil-embed", decimal, 0, 2)):
+        calls.clear()
+        assert cli.main([command, str(file)]) == code
+        assert len(calls) == runs, command
 
 
 # ---------------------------------------------------------------------------

@@ -544,9 +544,9 @@ def test_sweeps_build_and_validate_no_metric(monkeypatch):
     validate = metric.find_metric_violation
     from_edges = Graph.from_edges.__func__
 
-    def counted_validate(dist):
+    def counted_validate(dist, pairs=None):
         calls.append("validate")
-        return validate(dist)
+        return validate(dist, pairs)
 
     def counted_from_edges(cls, labels, edges):
         calls.append("from_edges")
