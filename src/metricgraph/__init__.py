@@ -28,7 +28,6 @@ from .metric import (
     compute_x2_set,
     dump_metric,
     format_rational,
-    is_integer_metric,
     kay_chartrand_check,
     parse_metric,
     parse_rational,
@@ -77,7 +76,7 @@ __all__ = [
     "Disconnected", "EmptySubset", "EmptyGraph", "TooLarge", "TooSmall",
     "WrongArity",
     "MetricSpace", "parse_metric", "dump_metric", "parse_rational",
-    "format_rational", "is_integer_metric", "between", "kay_chartrand_check",
+    "format_rational", "between", "kay_chartrand_check",
     "compute_x2_set", "ceiling_metric",
     "Graph", "ShapeClass", "parse_graph", "dump_graph", "geodesic_distances",
     "geodesic_metric", "is_connected", "induced_subgraph", "classify_shape",

@@ -60,6 +60,10 @@ class Graph(_GraphFields):
         return g
 
     @classmethod
+    def _make(cls, fields) -> "Graph":  # `_replace` calls this: build through `__new__`
+        return cls(*fields)
+
+    @classmethod
     def from_edges(
         cls,
         vertex_labels: list[str] | tuple[str, ...],

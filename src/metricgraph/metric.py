@@ -4,9 +4,9 @@ Distances are exact rationals: an integral distance is stored as a Python
 `int` and a non-integral one as a `fractions.Fraction` (both expose
 `.numerator` and `.denominator`).  No floating point is used anywhere, so
 strict inequalities (needed by the ceiling-embedding distortion bound) are
-decided exactly.  A `MetricSpace` validates all three metric axioms at
-construction time, in a pass that also finds its irreducible pairs, except
-where the package builds a metric by construction, and is immutable afterwards.
+decided exactly.  A `MetricSpace` validates the axioms, decides integrality
+and finds its irreducible pairs in one pass at construction (a metric the
+package builds by construction runs it on first use), and is immutable.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def rational_to_json(q: Rational) -> int | str:
 # ---------------------------------------------------------------------------
 
 def find_metric_violation(
-    dist: tuple[tuple[Rational, ...], ...], pairs: list[tuple[int, int]] | None = None
+    dist: tuple[tuple[Rational, ...], ...], pairs: list[tuple[int, int] | None] | None = None
 ) -> MetricViolation | None:
     """Return the first metric-axiom violation of a square table, or None.
 
@@ -110,7 +110,8 @@ def find_metric_violation(
     Any other k that does lies between i and j, so on an integral table
     (L = 1) a passing pair at distance >= 2 whose row sum hits t[i][j] only
     twice is irreducible: it is appended to `pairs`, when given, in scan
-    order.  A failing pair's witness is its first k on t, as in the plain
+    order.  On a table that is not integral (L > 1) `pairs` gets one `None`
+    instead.  A failing pair's witness is its first k on t, as in the plain
     triple loop, since scaling by L > 0 keeps every comparison.
 
     The first pass reads each entry once, for its denominator, and raises
@@ -160,6 +161,8 @@ def find_metric_violation(
                     f"d[{i}][{j}] = {dist[i][j]} must be positive for distinct points",
                 )
     keep = pairs is not None and scale == 1
+    if pairs is not None and not keep:
+        pairs.append(None)
     for i in range(n):
         ti = t[i]
         for j in range(i + 1, n):
@@ -218,12 +221,16 @@ class MetricSpace(_MetricFields):
                 "shape", (),
                 f"{len(labels)} labels but {len(dist)} table rows",
             )
-        pairs: list[tuple[int, int]] = []
+        pairs: list[tuple[int, int] | None] = []
         violation = find_metric_violation(dist, pairs)
         if violation is not None:
             raise violation
-        m._pairs = tuple(pairs)  # type: ignore[attr-defined]
+        m._pairs = None if pairs == [None] else tuple(pairs)  # type: ignore[attr-defined]
         return m
+
+    @classmethod
+    def _make(cls, fields) -> "MetricSpace":  # `_replace` calls this: build through `__new__`
+        return cls(*fields)
 
     @classmethod
     def from_rows(
@@ -264,11 +271,6 @@ class MetricSpace(_MetricFields):
         return MetricSpace._of_metric(tuple(labels), tuple(tuple(self.dist[i][j] for j in idx) for i in idx))
 
 
-def is_integer_metric(m: MetricSpace) -> bool:
-    """True iff every distance is a non-negative integer."""
-    return all(v.denominator == 1 for row in m.dist for v in row)
-
-
 # ---------------------------------------------------------------------------
 # Betweenness and derived checks
 # ---------------------------------------------------------------------------
@@ -282,30 +284,24 @@ def between(m: MetricSpace, x: str, y: str, z: str) -> bool:
     return m.dist[ix][iz] == m.dist[ix][iy] + m.dist[iy][iz]
 
 
-def _irreducible_pairs(m: MetricSpace) -> tuple[tuple[str, str], ...]:
-    """Pairs at distance >= 2 with no point between them, in lexicographic
-    order by point index, as found by validating `m` (once, for a space
-    built by construction).  Requires an integer metric."""
-    if not is_integer_metric(m):
-        raise NotIntegerMetric("operation requires an integer-valued metric")
-    if getattr(m, "_pairs", None) is None:
-        m._pairs = MetricSpace(m.labels, m.dist)._pairs  # type: ignore[attr-defined]
-    return tuple((m.labels[i], m.labels[j]) for i, j in m._pairs)  # type: ignore[attr-defined]
-
-
 def compute_x2_set(m: MetricSpace) -> tuple[tuple[str, str], ...]:
     """The metrically irreducible pairs: distance >= 2 and no strictly
     between point, as label pairs in lexicographic order by point index.
     Each such pair receives its own subdivision path in the embedding
-    construction.  Requires an integer metric."""
-    return _irreducible_pairs(m)
+    construction.  Read off `m`'s validating pass; `NotIntegerMetric` when
+    that pass found the table not integral."""
+    if not hasattr(m, "_pairs"):
+        m._pairs = MetricSpace(m.labels, m.dist)._pairs  # type: ignore[attr-defined]
+    if m._pairs is None:  # type: ignore[attr-defined]
+        raise NotIntegerMetric("operation requires an integer-valued metric")
+    return tuple((m.labels[i], m.labels[j]) for i, j in m._pairs)  # type: ignore[attr-defined]
 
 
 def kay_chartrand_check(m: MetricSpace) -> tuple[str, str] | None:
     """None when every pair at distance >= 2 has a point between it (the
     metric is then exactly the geodesic metric of the distance-1 graph),
     else the first pair of `compute_x2_set`.  Requires an integer metric."""
-    return next(iter(_irreducible_pairs(m)), None)
+    return next(iter(compute_x2_set(m)), None)
 
 
 def ceiling_metric(m: MetricSpace) -> MetricSpace:

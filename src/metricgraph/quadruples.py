@@ -491,7 +491,7 @@ def search(
     """
     min_n = _conjecture(conjecture_id)[1]
     if max_n > HARD_CAP:
-        raise TooLarge(f"search needs 3 <= max_n <= {HARD_CAP}, got {max_n}")
+        raise TooLarge(f"search needs {min_n} <= max_n <= {HARD_CAP}, got {max_n}")
     if max_n < min_n:
         raise TooSmall(f"{conjecture_id} search needs max_n >= {min_n}, got {max_n}")
     if jobs < 1:

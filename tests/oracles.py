@@ -259,6 +259,11 @@ def line_embed_by_signs(m: MetricSpace) -> dict[str, Fraction] | None:
     return None
 
 
+def is_integer_metric(m: MetricSpace) -> bool:
+    """Integrality oracle: every distance, walked one by one, is an integer."""
+    return all(v.denominator == 1 for row in m.dist for v in row)
+
+
 def has_between_point(m: MetricSpace, i: int, j: int) -> bool:
     """Betweenness oracle by direct scan of the definition."""
     return any(

@@ -17,8 +17,9 @@ import pytest
 import metricgraph
 from metricgraph import (Graph, cycle_graph, dump_graph, dump_metric, geodesic_metric, parse_graph,
                          parse_metric, path_graph)
-from metricgraph import cli, metric
+from metricgraph import cli
 from metricgraph.cli import build_parser, main
+from metricgraph.enumeration import HARD_CAP
 from metricgraph.errors import ConditionFailed, Disconnected, MetricGraphError, MetricViolation, ParseError
 from metricgraph.quadruples import ConjectureReport, check_graph
 from metricgraph.realization import DistanceMismatch
@@ -91,21 +92,6 @@ def test_validate_non_integer(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["integer_valued"] is False
     assert doc["kay_chartrand"] is None
-
-
-@pytest.mark.parametrize("table, integer", [("[[0,2],[2,0]]", True), ('[[0,"1/2"],["1/2",0]]', False)])
-def test_validate_decides_integrality_once(tmp_path, capsys, monkeypatch, table, integer):
-    """One `is_integer_metric` call per `validate`, whether the table is
-    integral or not (patched in `cli` too, so that a copy imported there
-    is counted)."""
-    calls = []
-    real = metric.is_integer_metric
-    for module in (metric, cli):
-        monkeypatch.setattr(module, "is_integer_metric", lambda m: calls.append(m) or real(m), raising=False)
-    path = write(tmp_path, "t.json", f'{{"points": ["a", "b"], "distances": {table}}}')
-    _, out, _ = run(capsys, "validate", path)
-    assert json.loads(out)["integer_valued"] is integer
-    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -806,6 +792,15 @@ def test_search_max_n_guard(capsys):
     assert code == 2
     doc = json.loads(out)
     assert doc["error"] == "TooSmall" and "max_n >= 4" in doc["message"]
+
+
+@pytest.mark.parametrize("conjecture, smallest", [("4.2", 3), ("4.4", 4)])
+def test_search_too_large_names_the_conjectures_range(capsys, conjecture, smallest):
+    """Above the cap, the message gives the conjecture's own smallest n."""
+    code, out, _ = run(capsys, "search", "--conjecture", conjecture, "--max-n", str(HARD_CAP + 1))
+    assert code == 2
+    assert json.loads(out) == {"error": "TooLarge",
+                               "message": f"search needs {smallest} <= max_n <= {HARD_CAP}, got {HARD_CAP + 1}"}
 
 
 def test_missing_file(capsys):

@@ -28,7 +28,6 @@ from metricgraph import (
     dump_metric,
     format_rational,
     geodesic_metric,
-    is_integer_metric,
     kay_chartrand_check,
     parse_metric,
     parse_rational,
@@ -126,7 +125,7 @@ def test_parse_egyptian_json():
 def test_parse_single_point():
     m = parse_metric('{"points": ["a"], "distances": [[0]]}')
     assert m.n == 1
-    assert is_integer_metric(m)
+    assert oracles.is_integer_metric(m)
     assert kay_chartrand_check(m) is None
 
 
@@ -438,11 +437,17 @@ def test_scan_matches_brute_scan_with_many_prime_denominators():
 # ---------------------------------------------------------------------------
 
 def test_is_integer_metric():
-    assert is_integer_metric(EGYPTIAN)
-    assert not is_integer_metric(
-        MetricSpace.from_rows(["a", "b"], [[0, "5/2"], ["5/2", 0]])
-    )
-    assert is_integer_metric(MetricSpace.from_rows(["a"], [[0]]))
+    """`NotIntegerMetric` is raised exactly where the integrality oracle says
+    no, a `Fraction`-typed integral table included."""
+    for m, integral in ((EGYPTIAN, True), (MetricSpace.from_rows(["a"], [[0]]), True),
+                        (MetricSpace.from_rows(["a", "b"], [[0, "5/2"], ["5/2", 0]]), False),
+                        (MetricSpace(("a", "b"), ((0, Fraction(4, 2)), (Fraction(4, 2), 0))), True)):
+        assert oracles.is_integer_metric(m) is integral
+        if integral:
+            assert kay_chartrand_check(m) == next(iter(compute_x2_set(m)), None)
+        else:
+            with pytest.raises(NotIntegerMetric):
+                compute_x2_set(m)
 
 
 def test_between_line_metric():
@@ -503,15 +508,27 @@ def test_x2_matches_kay_chartrand(seed):
     there is none; both agree with the direct betweenness oracle, on pairs
     kept by `MetricSpace(...)`'s validation and on pairs found later for a
     space built by construction (`restrict`, `ceiling_metric`), before and
-    after a pickle round trip."""
+    after a pickle round trip.  `NotIntegerMetric` is raised exactly when
+    the integrality oracle says no: `m` plus a point at a half-integer
+    distance is not integral, its restriction to `m`'s points is (it does
+    not inherit its parent's answer), and to a pair with that point is not."""
     rng = random.Random(seed)
     m = (randgen.random_subset_metric(rng, 6) if rng.random() < 0.6
          else randgen.random_int_metric_rejection(rng, rng.randint(2, 5)))
-    spaces = [m, m.restrict(m.labels), ceiling_metric(randgen.random_decimal_metric(rng, 6))]
+    far = max(map(max, m.dist)) + Fraction(1, 2)
+    decimal = MetricSpace((*m.labels, "far"), tuple((*row, far) for row in m.dist) + ((*[far] * m.n, 0),))
+    spaces = [m, m.restrict(m.labels), ceiling_metric(randgen.random_decimal_metric(rng, 6)),
+              decimal, decimal.restrict(m.labels), decimal.restrict([m.labels[-1], "far"])]
     for space in spaces[:2]:
         compute_x2_set(space)  # the pickles below carry the pairs found
         spaces += [pickle.loads(pickle.dumps(space, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    assert [oracles.is_integer_metric(space) for space in spaces[3:6]] == [False, True, False]
     for space in spaces:
+        if not oracles.is_integer_metric(space):
+            for answer in (compute_x2_set, kay_chartrand_check):
+                with pytest.raises(NotIntegerMetric):
+                    answer(space)
+            continue
         x2 = compute_x2_set(space)
         expected = [
             (space.labels[i], space.labels[j])
@@ -545,11 +562,43 @@ def test_the_validating_pass_runs_once_per_space(tmp_path, monkeypatch):
     decimal = tmp_path / "decimal.json"
     decimal.write_text('{"points": ["a", "b", "c"], '
                        '"distances": [[0, "1.5", "2.5"], ["1.5", 0, "1.25"], ["2.5", "1.25", 0]]}')
-    for command, file, code, runs in (("validate", egy, 1, 1), ("embed", egy, 0, 1), ("realize", path, 0, 1),
-                                      ("realize", egy, 1, 1), ("ceil-embed", decimal, 0, 2)):
+    for command, file, code, runs in (("validate", egy, 1, 1), ("validate", decimal, 1, 1), ("embed", egy, 0, 1),
+                                      ("realize", path, 0, 1), ("realize", egy, 1, 1), ("ceil-embed", decimal, 0, 2)):
         calls.clear()
         assert cli.main([command, str(file)]) == code
         assert len(calls) == runs, command
+
+
+class _CountingRow(tuple):
+    """A distance row that counts every read of its entries."""
+    reads = 0
+
+    def __iter__(self):
+        _CountingRow.reads += 1
+        return super().__iter__()
+
+    def __getitem__(self, key):
+        _CountingRow.reads += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("rows, x2", [(EGYPTIAN.dist, (("x1", "x2"), ("x1", "x3"), ("x2", "x3"))),
+                                      (((0, Fraction(5, 2)), (Fraction(5, 2), 0)), None)],
+                         ids=["integral", "not_integral"])
+def test_x2_reads_no_row_after_construction(rows, x2):
+    """Integrality and the irreducible pairs are decided by the validating
+    pass alone: once a space is built, `compute_x2_set` and
+    `kay_chartrand_check` read none of its rows, whether they answer pairs or
+    raise `NotIntegerMetric` (x2 None)."""
+    m = MetricSpace(EGYPTIAN.labels[:len(rows)], tuple(map(_CountingRow, rows)))
+    _CountingRow.reads = 0
+    if x2 is None:
+        for answer in (compute_x2_set, kay_chartrand_check):
+            with pytest.raises(NotIntegerMetric):
+                answer(m)
+    else:
+        assert compute_x2_set(m) == x2 and kay_chartrand_check(m) == x2[0]
+    assert _CountingRow.reads == 0
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +617,7 @@ def test_ceiling_idempotent_and_dominates(seed):
     rng = random.Random(seed)
     m = randgen.random_decimal_metric(rng, 5)
     c = ceiling_metric(m)
-    assert is_integer_metric(c)
+    assert oracles.is_integer_metric(c)
     assert {type(v) for row in c.dist for v in row} == {int}
     assert ceiling_metric(c) == c
     assert find_metric_violation(c.dist) is None  # built unvalidated: the theorem stays checked

@@ -11,8 +11,8 @@ from fractions import Fraction
 import pytest
 
 from metricgraph import (
-    PLQ, ConjectureReport, ConjectureViolation, Graph, MetricSpace, RealizationResult, ShapeClass,
-    cycle_graph, path_graph,
+    PLQ, ConjectureReport, ConjectureViolation, Graph, MetricSpace, MetricViolation, ParseError,
+    RealizationResult, ShapeClass, compute_x2_set, cycle_graph, path_graph,
 )
 from metricgraph.quadruples import QuadInequality
 from metricgraph.realization import DistanceMismatch
@@ -50,3 +50,25 @@ def test_records_are_immutable_hashable_values_that_pickle(cls, fields):
         assert type(back) is cls and back == record and hash(back) == hash(record)
         if cls in (MetricSpace, Graph):
             assert [back.index(lab) for lab in labels] == list(range(len(labels)))
+
+
+def test_replace_and_make_pass_the_constructors_checks():
+    """`_replace` and `_make` build through `MetricSpace(...)` and `Graph(...)`:
+    a bad table or adjacency raises the constructor's typed error, and a good
+    one gives a record whose lookups work."""
+    m = MetricSpace.from_rows(["a", "b"], [[0, 2], [2, 0]])
+    with pytest.raises(MetricViolation) as exc:
+        m._replace(dist=((0, 5), (7, 0)))
+    assert exc.value.kind == "asymmetry"
+    with pytest.raises(MetricViolation) as exc:
+        MetricSpace._make((("a",), ((1,),)))
+    assert exc.value.kind == "diagonal"
+    with pytest.raises(ParseError, match="not symmetric"):
+        path_graph(3)._replace(adjacency=((1,), (0,), (0,)))
+    with pytest.raises(ParseError, match="duplicate vertex label"):
+        Graph._make((("x", "x"), ((1,), (0,))))
+    moved = m._replace(labels=("x", "y"))
+    assert type(moved) is MetricSpace and moved.index("y") == 1 and moved.d("x", "y") == 2
+    assert compute_x2_set(moved) == (("x", "y"),)
+    renamed = path_graph(3)._replace(vertex_labels=("p", "q", "r"))
+    assert type(renamed) is Graph and renamed.index("r") == 2 and renamed.has_edge(1, 2)
