@@ -232,6 +232,9 @@ class MetricSpace(_MetricFields):
     def _make(cls, fields) -> "MetricSpace":  # `_replace` calls this: build through `__new__`
         return cls(*fields)
 
+    def __reduce__(self):  # pickle and copy rebuild by construction and keep `_index` and `_pairs`
+        return type(self)._of_metric, tuple(self), self.__dict__
+
     @classmethod
     def from_rows(
         cls,

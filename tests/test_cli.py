@@ -169,25 +169,12 @@ def test_ceil_embed(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["vertices"] == 4 and doc["edges"] == 3
 
-
-def test_require_onto(tmp_path, capsys):
-    metric = write(tmp_path, "egy.json", EGYPTIAN_JSON)
-    code, out, _ = run(capsys, "embed", metric, "--require-onto")
-    assert code == 1
-    doc = json.loads(out)
-    assert doc["error"] == "not_onto"
-    assert doc["unmapped_vertices"] == 9  # the auxiliary vertices
-
-    p4 = write(tmp_path, "p4.json", dump_metric(geodesic_metric(path_graph(4))))
-    code, _, _ = run(capsys, "realize", p4, "--require-onto")
-    assert code == 0
-
-    # Ceiling distortion is not an onto failure: the host is a triangle on
-    # the three points, with no auxiliary vertex.
+    # The ceiling of the all-1/2 triangle is the all-1 triangle: the host
+    # is a triangle on the three points, with no auxiliary vertex.
     halves = write(tmp_path, "halves.json",
                    '{"points": ["a", "b", "c"], "distances": '
                    '[[0,"1/2","1/2"],["1/2",0,"1/2"],["1/2","1/2",0]]}')
-    code, out, _ = run(capsys, "ceil-embed", halves, "--require-onto")
+    code, out, _ = run(capsys, "ceil-embed", halves)
     assert code == 0
     doc = json.loads(out)
     assert doc["vertices"] == 3 and doc["aux_count"] == 0
@@ -623,9 +610,9 @@ _PATCHES = {
     ("validate {half}", 1), ("validate {bad}", 2),
     ("realize {p4}", 0), ("realize {d2}", 1), ("realize {d2} --fallback-embed", (2, "ParseError")),
     ("realize {half}", 2), ("realize {p4} --out {dir}", 2),
-    ("embed {egy}", 0), ("embed {egy} --require-onto", 1), ("embed {huge}", 2),
+    ("embed {egy}", 0), ("embed {egy} --require-onto", (2, "ParseError")), ("embed {huge}", 2),
     ("embed {asym}", 2), ("embed {egy} --out {dir}", 2), ("embed {egy} --map {dir}", 2),
-    ("ceil-embed {egy}", 0), ("ceil-embed {egy} --require-onto", 1), ("ceil-embed {huge}", 2),
+    ("ceil-embed {egy}", 0), ("ceil-embed {egy} --require-onto", (2, "ParseError")), ("ceil-embed {huge}", 2),
     ("ceil-embed {egy} --out {dir}", 2),
     ("distances {c5}", 0), ("distances --format text {c5txt}", 0), ("distances {iso}", 1),
     ("distances {bad}", 2),
@@ -638,6 +625,7 @@ _PATCHES = {
     ("search --conjecture 4.2 --max-n x", 2), ("embed {egy} --bogus", 2), ("check {p4}", 2), ("", 2),
     ("embed {egy} --format json", (2, "InternalVerificationFailure")),
     ("search --conjecture 4.4 --max-n 2", (2, "TooSmall")),
+    ("realize {p4} --require-onto", (2, "ParseError")),
 ])
 def test_output_protocol(tmp_path, capsys, monkeypatch, argv, expected):
     """Whatever the exit code, argparse usage errors and a failed

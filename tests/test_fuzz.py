@@ -35,8 +35,8 @@ MAX_POINTS = 16
 MAX_HEADER = 64
 
 COMMANDS = [
-    "validate", "realize", "embed", "embed --require-onto",
-    "ceil-embed", "distances", "check --mb", "check --line",
+    "validate", "realize", "embed", "ceil-embed", "distances",
+    "check --mb", "check --line", "check --plq", "check --quad-ineq",
 ]
 
 
@@ -44,7 +44,7 @@ def _class_names(base: type) -> set[str]:
     return {base.__name__, *(name for sub in base.__subclasses__() for name in _class_names(sub))}
 
 
-EXIT_1_ERRORS = {None, "condition_failed", "not_onto", "disconnected"}
+EXIT_1_ERRORS = {None, "condition_failed", "disconnected"}
 EXIT_2_ERRORS = {"metric_violation"} | _class_names(MetricGraphError) | _class_names(OSError)
 
 # Values in [a, 2a] always satisfy the triangle inequality, so a table drawn

@@ -10,9 +10,10 @@ from fractions import Fraction
 
 import pytest
 
+import metricgraph.metric
 from metricgraph import (
-    PLQ, ConjectureReport, ConjectureViolation, Graph, MetricSpace, MetricViolation, ParseError,
-    RealizationResult, ShapeClass, compute_x2_set, cycle_graph, path_graph,
+    PLQ, ConjectureReport, ConjectureViolation, Graph, MetricSpace, MetricViolation, NotIntegerMetric,
+    ParseError, RealizationResult, ShapeClass, compute_x2_set, cycle_graph, path_graph,
 )
 from metricgraph.quadruples import QuadInequality
 from metricgraph.realization import DistanceMismatch
@@ -72,3 +73,32 @@ def test_replace_and_make_pass_the_constructors_checks():
     assert compute_x2_set(moved) == (("x", "y"),)
     renamed = path_graph(3)._replace(vertex_labels=("p", "q", "r"))
     assert type(renamed) is Graph and renamed.index("r") == 2 and renamed.has_edge(1, 2)
+
+
+def test_pickles_and_copies_keep_the_validating_pass(monkeypatch):
+    """A pickle at every protocol, `copy.copy` and `copy.deepcopy` rebuild a
+    `MetricSpace` without its validating pass and keep what that pass found:
+    the irreducible pairs, or `None` on a table that is not integral.  A
+    `restrict`ed space, which has not run the pass, still answers after."""
+    egy = MetricSpace.from_rows(["x1", "x2", "x3"], [[0, 3, 4], [3, 0, 5], [4, 5, 0]])
+    half = MetricSpace.from_rows(["a", "b"], [[0, "1/2"], ["1/2", 0]])
+    sub = egy.restrict(["x3", "x1"])
+    rebuilds = [copy.copy, copy.deepcopy, *(
+        lambda m, protocol=protocol: pickle.loads(pickle.dumps(m, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1))]
+    passes = []
+    validate = metricgraph.metric.find_metric_violation
+    monkeypatch.setattr(metricgraph.metric, "find_metric_violation", lambda *a: passes.append(a) or validate(*a))
+    backs = {name: [rebuild(m) for rebuild in rebuilds] for name, m in
+             (("egy", egy), ("half", half), ("sub", sub))}
+    assert passes == []
+    for back in backs["egy"]:
+        assert back == egy and back.d("x2", "x3") == 5
+        assert back._pairs == ((0, 1), (0, 2), (1, 2))
+    for back in backs["half"]:
+        assert back == half and back._pairs is None
+        with pytest.raises(NotIntegerMetric):
+            compute_x2_set(back)
+    for back in backs["sub"]:
+        assert back == sub and not hasattr(back, "_pairs")
+        assert compute_x2_set(back) == (("x3", "x1"),)
