@@ -43,12 +43,8 @@ def _emit(text: str) -> None:
     sys.stdout.write(text)
 
 
-def _metric_format_of(fmt: str) -> str:
-    return "matrix" if fmt == "text" else "json"
-
-
 def _load_metric(path: str, fmt: str) -> MetricSpace:
-    return parse_metric(_read_input(path), _metric_format_of(fmt))
+    return parse_metric(_read_input(path), fmt)
 
 
 def _load_metric_or_graph(path: str) -> MetricSpace:
@@ -77,7 +73,7 @@ def _load_metric_or_graph(path: str) -> MetricSpace:
     size = math.isqrt(len(tokens) - 1)
     if len(stripped.splitlines()[0].split()) == 2 and (tokens[0], len(tokens)) != (str(size), size * size + 1):
         return geodesic_metric(parse_graph(text, "text"))
-    return parse_metric(text, "matrix")
+    return parse_metric(text, "text")
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +127,8 @@ def _write_artifacts(args: argparse.Namespace, result: RealizationResult) -> dic
 
 
 def _construction(args: argparse.Namespace, name: str, result: RealizationResult) -> _Outcome:
-    g = result.graph
     doc = {"command": name, **_write_artifacts(args, result)}
-    return 0, doc, f"{name}: {g.n} vertices, {g.edge_count()} edges, {result.aux_count} auxiliary"
+    return 0, doc, f"{name}: {doc['vertices']} vertices, {doc['edges']} edges, {doc['aux_count']} auxiliary"
 
 
 def cmd_realize(args: argparse.Namespace) -> _Outcome:
@@ -156,13 +151,8 @@ def cmd_ceil_embed(args: argparse.Namespace) -> _Outcome:
 
 
 def cmd_distances(args: argparse.Namespace) -> _Outcome:
-    g = parse_graph(_read_input(args.input), args.format)
-    try:
-        m = geodesic_metric(g)
-    except Disconnected:
-        return DOMAIN_NEGATIVE, {"command": "distances", "error": "disconnected"}, (
-            "distances: graph is disconnected; geodesic metric undefined")
-    return 0, dump_metric(m, _metric_format_of(args.format)), f"distances: {g.n}x{g.n} matrix"
+    m = geodesic_metric(parse_graph(_read_input(args.input), args.format))
+    return 0, dump_metric(m, args.format), f"distances: {m.n}x{m.n} matrix"
 
 
 def cmd_check(args: argparse.Namespace) -> _Outcome:
@@ -237,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("input", help="input file, or - for stdin")
         p.add_argument("--format", choices=["json", "text"], default="json",
-                       help="file format (text = matrix/edge-list); check detects it itself")
+                       help="file format (text = matrix/edge-list)")
 
     p = sub.add_parser("validate", help="metric axioms, integrality, realizability")
     add_common(p)
@@ -256,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_distances)
 
     p = sub.add_parser("check", help="betweenness-class / line / quadruple checks")
-    add_common(p)
+    p.add_argument("input", help="metric or graph file, JSON or text told apart by content; - for stdin")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--mb", action="store_true")
     group.add_argument("--line", action="store_true")

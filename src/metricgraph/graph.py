@@ -33,11 +33,8 @@ class Graph(_GraphFields):
     """Finite simple undirected graph with labeled vertices."""
 
     def __new__(cls, vertex_labels: tuple[str, ...], adjacency: tuple[tuple[int, ...], ...]) -> "Graph":
-        n = len(vertex_labels)
-        if n == 0:
-            raise ParseError("a graph needs at least one vertex")
-        index = label_index(vertex_labels, "vertex")
-        rows = adjacency
+        g = cls._of_graph(vertex_labels, adjacency)
+        n, rows = len(vertex_labels), adjacency
         if len(rows) != n:
             raise ParseError(f"{n} vertices but {len(rows)} adjacency rows")
         for i, row in enumerate(rows):
@@ -55,13 +52,24 @@ class Graph(_GraphFields):
             for j in row:
                 if bisect_left(rows[j], i) == bisect_right(rows[j], i):
                     raise ParseError(f"edge ({i},{j}) is not symmetric")
-        g = tuple.__new__(cls, (vertex_labels, adjacency))
-        g._index = index  # type: ignore[attr-defined]
         return g
 
     @classmethod
     def _make(cls, fields) -> "Graph":  # `_replace` calls this: build through `__new__`
         return cls(*fields)
+
+    def __reduce__(self):  # pickle and copy rebuild by construction and keep `_index`
+        return type(self)._of_graph, tuple(self), self.__dict__
+
+    @classmethod
+    def _of_graph(cls, vertex_labels: tuple[str, ...], adjacency: tuple[tuple[int, ...], ...]) -> "Graph":
+        """A graph on an adjacency that is simple and symmetric by construction, built
+        here for `__new__` too: it checks for a vertex, then the labels, but no edge."""
+        if len(vertex_labels) == 0:
+            raise ParseError("a graph needs at least one vertex")
+        g = tuple.__new__(cls, (vertex_labels, adjacency))
+        g._index = label_index(vertex_labels, "vertex")  # type: ignore[attr-defined]
+        return g
 
     @classmethod
     def from_edges(

@@ -322,7 +322,7 @@ def ceiling_metric(m: MetricSpace) -> MetricSpace:
 # ---------------------------------------------------------------------------
 
 def parse_metric(text: str, format: str = "json") -> MetricSpace:
-    """Parse a metric space from JSON or matrix text.
+    """Parse a metric space from JSON or matrix text (format "json" or "text").
 
     JSON: ``{"points": [...], "distances": [[...], ...]}`` where entries are
     integers, exact decimal/fraction strings, or (exactly parsed) decimal
@@ -346,7 +346,7 @@ def parse_metric(text: str, format: str = "json") -> MetricSpace:
                 raise ParseError(f"label {excerpt(lab)} uses the reserved {RESERVED_PREFIX!r} prefix")
         return MetricSpace.from_rows(labels, rows)
 
-    if format == "matrix":
+    if format == "text":
         tokens = text.split()
         if not tokens:
             raise ParseError("empty matrix input")
@@ -397,7 +397,7 @@ def dump_metric(m: MetricSpace, format: str = "json") -> str:
             "points": list(m.labels),
             "distances": [[rational_to_json(v) for v in row] for row in m.dist],
         })
-    if format == "matrix":
+    if format == "text":
         lines = [str(m.n)]
         for row in m.dist:
             lines.append(" ".join(format_rational(v) for v in row))

@@ -210,9 +210,9 @@ def test_distances_single_edge(tmp_path, capsys):
 
 def test_distances_disconnected(tmp_path, capsys):
     path = write(tmp_path, "iso.json", '{"vertices": ["a", "b"], "edges": []}')
-    code, out, _ = run(capsys, "distances", path)
-    assert code == 1
-    assert json.loads(out)["error"] == "disconnected"
+    assert run(capsys, "distances", path) == (
+        1, '{"error": "disconnected","message": "geodesic metric requires a connected graph"}\n',
+        "error: geodesic metric requires a connected graph\n")
 
 
 def test_distances_realize_round_trip(tmp_path, capsys):
@@ -313,11 +313,11 @@ def test_check_reads_a_one_line_matrix(tmp_path, capsys):
         one_line = write(tmp_path, "one.txt", f"{len(rows)} {' '.join(rows)}\n")
         multi_line = write(tmp_path, "multi.txt", "\n".join([str(len(rows)), *rows]) + "\n")
         for check in ("--mb", "--line"):
-            expected = run(capsys, "check", "--format", "text", check, multi_line)
+            expected = run(capsys, "check", check, multi_line)
             assert expected[0] in (0, 1)
-            assert run(capsys, "check", "--format", "text", check, one_line) == expected
+            assert run(capsys, "check", check, one_line) == expected
     bad = write(tmp_path, "bad.txt", "2 0 1 1\n")
-    code, out, _ = run(capsys, "check", "--format", "text", "--mb", bad)
+    code, out, _ = run(capsys, "check", "--mb", bad)
     assert code == 2 and json.loads(out)["error"] == "ParseError"
 
 
@@ -626,6 +626,7 @@ _PATCHES = {
     ("embed {egy} --format json", (2, "InternalVerificationFailure")),
     ("search --conjecture 4.4 --max-n 2", (2, "TooSmall")),
     ("realize {p4} --require-onto", (2, "ParseError")),
+    ("check --format text --mb {p3}", (2, "ParseError")),
 ])
 def test_output_protocol(tmp_path, capsys, monkeypatch, argv, expected):
     """Whatever the exit code, argparse usage errors and a failed
@@ -643,6 +644,7 @@ def test_output_protocol(tmp_path, capsys, monkeypatch, argv, expected):
         "c5txt": dump_graph(cycle_graph(5), "text"),
         "c8": dump_graph(cycle_graph(8)),
         "iso": '{"vertices": ["a", "b"], "edges": []}',
+        "p3": "3 0 1 2 1 0 1 2 1 0\n",
     }
     paths = {name: write(tmp_path, f"{name}.in", text) for name, text in files.items()}
     if argv in _PATCHES:
@@ -651,8 +653,8 @@ def test_output_protocol(tmp_path, capsys, monkeypatch, argv, expected):
     code, out, err = run(capsys, *argv.format(dir=tmp_path, **paths).split())
     assert code == expected_code
     assert err.endswith("\n") and err.count("\n") == 1, err
-    if "--format text" in argv:
-        assert parse_metric(out, "matrix").n == 5
+    if argv.startswith("distances --format text"):
+        assert parse_metric(out, "text").n == 5
     else:
         doc = json.loads(out)
         assert expected_error is None or doc["error"] == expected_error
@@ -702,6 +704,10 @@ def test_input_errors_on_stdin(capsys, monkeypatch, argv, stdin, expected):
     (lambda: Graph(("a", "b"), ((1,),)), "2 vertices but 1 adjacency rows"),
     (lambda: cycle_graph(2), "a cycle needs at least 3 vertices, got 2"),
     (lambda: check_graph("C99", path_graph(3)), "unknown conjecture id 'C99'; use C42 or C44"),
+    (lambda: parse_metric("1\n0\n", "matrix"), "unknown metric format 'matrix'"),
+    (lambda: dump_metric(geodesic_metric(path_graph(2)), "matrix"), "unknown metric format 'matrix'"),
+    (lambda: parse_graph("1 0\n", "matrix"), "unknown graph format 'matrix'"),
+    (lambda: dump_graph(path_graph(2), "matrix"), "unknown graph format 'matrix'"),
 ])
 def test_library_input_errors(build, message):
     """The library's own input checks that no CLI path reaches."""

@@ -152,20 +152,21 @@ def run_on_stdin(argv: list[str], text: str) -> tuple[int, str, str]:
 def test_every_input_gets_one_document_and_one_line(file, command, other_format):
     """`main` never raises and exits 0, 1 or 2; stdout holds one document
     and stderr one line; exit 1 is a domain negative and exit 2 names a
-    typed error."""
+    typed error.  `check` tells the format by content and takes no `--format`."""
     fmt, text = file
     if other_format:
         fmt = "text" if fmt == "json" else "json"
-    argv = [*command.split(), "--format", fmt, "-"]
+    argv = [*command.split(), *([] if command.startswith("check") else ["--format", fmt]), "-"]
     code, out, err = run_on_stdin(argv, text)
     assert code in (0, 1, 2)
     assert err.endswith("\n") and err.count("\n") == 1, err
     if argv[0] == "distances" and fmt == "text" and code == 0:
-        assert parse_metric(out, "matrix").n >= 1
+        assert parse_metric(out, "text").n >= 1
         return
     assert out.endswith("\n") and out.count("\n") == 1, out
     doc = json.loads(out)
     assert isinstance(doc, dict)
+    assert "unrecognized arguments" not in doc.get("message", ""), doc
     if code == 1:
         assert doc.get("error") in EXIT_1_ERRORS, doc
     elif code == 2:

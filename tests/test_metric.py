@@ -143,6 +143,9 @@ def test_parse_diagonal_and_zero_offdiagonal():
     with pytest.raises(MetricViolation) as exc:
         MetricSpace.from_rows(["a", "b"], [[0, 0], [0, 0]])
     assert exc.value.kind == "nonpositive"
+    with pytest.raises(MetricViolation, match="^2 labels but 1 table rows$") as exc:
+        MetricSpace(("a", "b"), ((0,),))
+    assert exc.value.kind == "shape"
 
 
 
@@ -277,20 +280,20 @@ def test_parse_exact_decimal_number_literal():
 
 
 def test_parse_matrix_format():
-    m = parse_metric("3\n0 3 4\n3 0 5\n4 5 0\n", format="matrix")
+    m = parse_metric("3\n0 3 4\n3 0 5\n4 5 0\n", format="text")
     assert m.labels == ("p0", "p1", "p2")
     assert m.dist == EGYPTIAN.dist
     with pytest.raises(ParseError):
-        parse_metric("2\n0 1\n1\n", format="matrix")
+        parse_metric("2\n0 1\n1\n", format="text")
     with pytest.raises(ParseError):
-        parse_metric("x\n", format="matrix")
+        parse_metric("x\n", format="text")
 
 
 def test_dump_round_trips():
     for m in (EGYPTIAN, LINE_013):
         assert parse_metric(dump_metric(m, "json")) == m
-    m = parse_metric("2\n0 5/2\n5/2 0", format="matrix")
-    assert parse_metric(dump_metric(m, "matrix"), format="matrix") == m
+    m = parse_metric("2\n0 5/2\n5/2 0", format="text")
+    assert parse_metric(dump_metric(m, "text"), format="text") == m
 
 
 _USER_LABEL = st.text(min_size=1, max_size=4).filter(lambda lab: not lab.startswith("__"))
@@ -307,7 +310,7 @@ def metrics(draw, format: str) -> MetricSpace:
         for j in range(i + 1, n):
             stretch = draw(st.fractions(0, 1, max_denominator=12))
             rows[i][j] = rows[j][i] = base * (1 + stretch)
-    if format == "matrix":
+    if format == "text":
         labels = [f"p{i}" for i in range(n)]
     else:
         labels = draw(st.lists(_USER_LABEL, min_size=n, max_size=n, unique=True))
@@ -315,7 +318,7 @@ def metrics(draw, format: str) -> MetricSpace:
 
 
 @settings(max_examples=80)
-@given(st.data(), st.sampled_from(["json", "matrix"]))
+@given(st.data(), st.sampled_from(["json", "text"]))
 def test_parse_inverts_dump(data, format):
     m = data.draw(metrics(format))
     assert parse_metric(dump_metric(m, format), format) == m

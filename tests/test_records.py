@@ -102,3 +102,20 @@ def test_pickles_and_copies_keep_the_validating_pass(monkeypatch):
     for back in backs["sub"]:
         assert back == sub and not hasattr(back, "_pairs")
         assert compute_x2_set(back) == (("x3", "x1"),)
+
+
+def test_pickles_and_copies_rebuild_a_graph_by_construction(monkeypatch):
+    """A pickle at every protocol, `copy.copy` and `copy.deepcopy` rebuild a
+    `Graph`, alone or inside a `RealizationResult`, without `Graph.__new__`'s
+    adjacency scan, and the copy still answers `index`."""
+    g = path_graph(5)
+    result = RealizationResult(g, 2)
+    calls = []
+    new = Graph.__new__
+    monkeypatch.setattr(Graph, "__new__", staticmethod(lambda cls, *a: calls.append(a) or new(cls, *a)))
+    backs = [copy.copy(g), copy.deepcopy(g), *(
+        pickle.loads(pickle.dumps(g, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1))]
+    backs.append(pickle.loads(pickle.dumps(result)).graph)
+    assert calls == []
+    for back in backs:
+        assert type(back) is Graph and back == g and back.index("v4") == 4
