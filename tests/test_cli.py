@@ -26,6 +26,7 @@ from metricgraph.realization import DistanceMismatch
 
 import oracles
 import randgen
+import transcript
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from checks import bfs, read_graph  # noqa: E402  the benchmark's own graph reader and BFS
@@ -741,6 +742,17 @@ def test_every_typed_error_is_one_document(tmp_path, capsys, monkeypatch, cls):
     assert got == code
     assert json.loads(out)["error"] == name
     assert err == f"error: {exc}\n"
+
+
+def test_transcript_matches_the_golden_file(tmp_path):
+    """Every invocation of the CLI transcript (`tests/transcript.py`) still
+    gives its recorded exit code and the recorded bytes of stdout, stderr
+    and each written file."""
+    golden = json.loads(transcript.GOLDEN.read_text())
+    got = transcript.record(tmp_path)
+    first = next((i for i, (a, b) in enumerate(zip(got, golden)) if a != b), None)
+    assert first is None, f"invocation {first}, {' '.join(golden[first]['argv'])}: {got[first]}"
+    assert len(got) == len(golden)
 
 
 # ---------------------------------------------------------------------------
