@@ -9,8 +9,6 @@ connected graphs.
 from .errors import (
     ConditionFailed,
     Disconnected,
-    EmptyGraph,
-    EmptySubset,
     InternalVerificationFailure,
     MetricGraphError,
     MetricViolation,
@@ -73,8 +71,7 @@ __version__ = "0.1.0"
 __all__ = [
     "MetricGraphError", "ParseError", "MetricViolation", "UnknownLabel",
     "NotIntegerMetric", "ConditionFailed", "InternalVerificationFailure",
-    "Disconnected", "EmptySubset", "EmptyGraph", "TooLarge", "TooSmall",
-    "WrongArity",
+    "Disconnected", "TooLarge", "TooSmall", "WrongArity",
     "MetricSpace", "parse_metric", "dump_metric", "parse_rational",
     "format_rational", "between", "kay_chartrand_check",
     "compute_x2_set", "ceiling_metric",

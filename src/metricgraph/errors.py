@@ -60,14 +60,6 @@ class Disconnected(MetricGraphError):
     """Operation requires a connected graph."""
 
 
-class EmptySubset(MetricGraphError):
-    """Induced subgraph requested on an empty vertex subset."""
-
-
-class EmptyGraph(MetricGraphError):
-    """Operation requires a graph with at least one edge."""
-
-
 class TooLarge(MetricGraphError):
     """A size exceeds a configured cap: the enumeration and
     canonicalization vertex cap, the host-graph vertex cap of an embedding
@@ -75,8 +67,9 @@ class TooLarge(MetricGraphError):
 
 
 class TooSmall(MetricGraphError):
-    """A size or count is below what the operation needs: a graph's
-    vertex count, or a sweep's max_n, jobs or max_violations."""
+    """A size or count is below what the operation needs: a graph's vertex
+    or edge count, an induced subgraph's vertex subset, or a sweep's max_n,
+    jobs or max_violations."""
 
 
 class WrongArity(MetricGraphError):

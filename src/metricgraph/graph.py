@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import NamedTuple
 
-from .errors import Disconnected, EmptySubset, ParseError, TooLarge, UnknownLabel, excerpt
+from .errors import Disconnected, ParseError, TooLarge, TooSmall, UnknownLabel, excerpt
 from .metric import MetricSpace, json_arrays, json_text, label_index
 
 DistanceMatrix = tuple[tuple[int | None, ...], ...]
@@ -210,12 +210,12 @@ def induced_subgraph(g: Graph, subset: set[str] | list[str] | tuple[str, ...]) -
     """Subgraph on the given labels keeping exactly the edges of g, in the
     host graph's vertex order; a repeated label counts once.  Raises
     `UnknownLabel` for the first unknown label in the caller's order."""
-    keep = sorted({g.index(lab) for lab in subset})
-    if not keep:
-        raise EmptySubset("induced subgraph needs a nonempty vertex subset")
-    remap = {old: new for new, old in enumerate(keep)}
-    return Graph(tuple(g.vertex_labels[i] for i in keep),
-                 tuple(tuple(remap[j] for j in g.adjacency[i] if j in remap) for i in keep))
+    kept = sorted({g.index(lab) for lab in subset})
+    if not kept:
+        raise TooSmall("induced subgraph needs a nonempty vertex subset")
+    remap = {old: new for new, old in enumerate(kept)}
+    return Graph(tuple(g.vertex_labels[i] for i in kept),
+                 tuple(tuple(remap[j] for j in g.adjacency[i] if j in remap) for i in kept))
 
 
 class ShapeClass(NamedTuple):

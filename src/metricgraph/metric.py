@@ -4,9 +4,10 @@ Distances are exact rationals: an integral distance is stored as a Python
 `int` and a non-integral one as a `fractions.Fraction` (both expose
 `.numerator` and `.denominator`).  No floating point is used anywhere, so
 strict inequalities (needed by the ceiling-embedding distortion bound) are
-decided exactly.  A `MetricSpace` validates the axioms, decides integrality
-and finds its irreducible pairs in one pass at construction (a metric the
-package builds by construction runs it on first use), and is immutable.
+decided exactly.  A `MetricSpace` is immutable.  One pass,
+`find_metric_violation`, checks its axioms at construction (on first use
+for a metric the package builds by construction), deciding each pair with
+one `min`, and writes the irreducible pairs it finds onto the space.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def rational_to_json(q: Rational) -> int | str:
 # ---------------------------------------------------------------------------
 
 def find_metric_violation(
-    dist: tuple[tuple[Rational, ...], ...], pairs: list[tuple[int, int] | None] | None = None
+    dist: tuple[tuple[Rational, ...], ...], space: MetricSpace | None = None
 ) -> MetricViolation | None:
     """Return the first metric-axiom violation of a square table, or None.
 
@@ -103,16 +104,15 @@ def find_metric_violation(
 
     Symmetry, positivity and the triangle inequality are tested on the
     table's exact integer image t: every entry times the lcm L of all
-    denominators (the table itself when L = 1).  A pair i < j passes the
-    triangle test when t[i][j] is at most the row minimum of
-    t[i][k] + t[j][k] over all k; row j stands in for column j because
-    symmetry is checked first, and k = i or k = j gives exactly t[i][j].
-    Any other k that does lies between i and j, so on an integral table
-    (L = 1) a passing pair at distance >= 2 whose row sum hits t[i][j] only
-    twice is irreducible: it is appended to `pairs`, when given, in scan
-    order.  On a table that is not integral (L > 1) `pairs` gets one `None`
-    instead.  A failing pair's witness is its first k on t, as in the plain
-    triple loop, since scaling by L > 0 keeps every comparison.
+    denominators (the table itself when L = 1).  One `min` decides a pair
+    i < j at d = t[i][j]: the minimum of its row sums t[i][k] + t[j][k]
+    (row j stands in for column j, as symmetry is checked first) once the
+    sums at k = i and k = j, exactly d, are set to d + 1.  Above it, d
+    breaks the triangle inequality at its first k on t, as in the plain
+    triple loop, since scaling by L > 0 keeps every comparison.  Equal to
+    it, a point lies between i and j.  Below it, with d >= 2, the pair is
+    irreducible.  On success the pass sets `space._pairs`, when a space is
+    given: the irreducible index pairs in scan order when L = 1, else None.
 
     The first pass reads each entry once, for its denominator, and raises
     `ParseError` for one that is not exactly an `int` or a `Fraction`, before
@@ -160,23 +160,25 @@ def find_metric_violation(
                     "nonpositive", (i, j),
                     f"d[{i}][{j}] = {dist[i][j]} must be positive for distinct points",
                 )
-    keep = pairs is not None and scale == 1
-    if pairs is not None and not keep:
-        pairs.append(None)
+    pairs = [] if space is not None and scale == 1 else None
     for i in range(n):
         ti = t[i]
         for j in range(i + 1, n):
+            d = ti[j]
             sums = list(map(operator.add, ti, t[j]))
-            if ti[j] <= min(sums):
-                if keep and ti[j] >= 2 and sums.count(ti[j]) == 2:
-                    pairs.append((i, j))  # type: ignore[union-attr]
-                continue
-            k = next(k for k, s in enumerate(sums) if ti[j] > s)
-            return MetricViolation(
-                "triangle", (i, j, k),
-                f"d[{i}][{j}] = {dist[i][j]} > "
-                f"{dist[i][k]} + {dist[k][j]} = d[{i}][{k}] + d[{k}][{j}]",
-            )
+            sums[i] = sums[j] = d + 1
+            low = min(sums)
+            if 2 <= d < low and pairs is not None:
+                pairs.append((i, j))
+            elif d > low:
+                k = next(k for k, s in enumerate(sums) if d > s)
+                return MetricViolation(
+                    "triangle", (i, j, k),
+                    f"d[{i}][{j}] = {dist[i][j]} > "
+                    f"{dist[i][k]} + {dist[k][j]} = d[{i}][{k}] + d[{k}][{j}]",
+                )
+    if space is not None:
+        space._pairs = None if pairs is None else tuple(pairs)  # type: ignore[attr-defined]
     return None
 
 
@@ -221,11 +223,9 @@ class MetricSpace(_MetricFields):
                 "shape", (),
                 f"{len(labels)} labels but {len(dist)} table rows",
             )
-        pairs: list[tuple[int, int] | None] = []
-        violation = find_metric_violation(dist, pairs)
+        violation = find_metric_violation(dist, m)
         if violation is not None:
             raise violation
-        m._pairs = None if pairs == [None] else tuple(pairs)  # type: ignore[attr-defined]
         return m
 
     @classmethod
@@ -293,8 +293,8 @@ def compute_x2_set(m: MetricSpace) -> tuple[tuple[str, str], ...]:
     Each such pair receives its own subdivision path in the embedding
     construction.  Read off `m`'s validating pass; `NotIntegerMetric` when
     that pass found the table not integral."""
-    if not hasattr(m, "_pairs"):
-        m._pairs = MetricSpace(m.labels, m.dist)._pairs  # type: ignore[attr-defined]
+    if not hasattr(m, "_pairs") and (violation := find_metric_violation(m.dist, m)) is not None:
+        raise violation
     if m._pairs is None:  # type: ignore[attr-defined]
         raise NotIntegerMetric("operation requires an integer-valued metric")
     return tuple((m.labels[i], m.labels[j]) for i, j in m._pairs)  # type: ignore[attr-defined]

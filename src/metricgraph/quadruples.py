@@ -27,7 +27,6 @@ from typing import Iterable, NamedTuple
 from .enumeration import HARD_CAP, Shard, _is_connected, enumerate_connected_graphs, graph_from_mask, split_trees
 from .errors import (
     Disconnected,
-    EmptyGraph,
     InternalVerificationFailure,
     ParseError,
     TooLarge,
@@ -268,13 +267,13 @@ def _violations(conjecture_id: str, g: Graph, witnesses: list[tuple[int, ...]]) 
 def check_graph(conjecture_id: str, g: Graph) -> list[ConjectureViolation]:
     """Conjecture `conjecture_id`'s violations on g, in its kernel's order.
     Raises `ParseError` for an id other than C42 or C44, then `Disconnected`,
-    then `EmptyGraph` (C42, no edge) or `TooSmall` (C44, below 4 vertices)."""
+    then `TooSmall` (C42 with no edge, C44 below 4 vertices)."""
     kernel = _conjecture(conjecture_id)[0]
     nbr = [sum(1 << j for j in row) for row in g.adjacency]
     if not _is_connected(g.n, nbr):
         raise Disconnected("geodesic metric requires a connected graph")
     if conjecture_id == "C42" and g.edge_count() == 0:
-        raise EmptyGraph("conjecture applies to graphs with at least one edge")
+        raise TooSmall("conjecture applies to graphs with at least one edge")
     if conjecture_id == "C44" and g.n < 4:
         raise TooSmall(f"need at least 4 vertices, got {g.n}")
     return _violations(conjecture_id, g, kernel(g.n, nbr))
@@ -301,7 +300,7 @@ def check_conjecture_42(g: Graph) -> ConjectureViolation | None:
     distances m - 1, 2, m - 1.  So the kernel counts degrees, and only a
     C_n with n >= 5 reaches the BFS rows and the triple scan, which stay
     as the sweep's computed check of the last case.
-    Raises `Disconnected`, then `EmptyGraph`.
+    Raises `Disconnected`, then `TooSmall`.
     """
     violations = check_graph("C42", g)
     return violations[0] if violations else None

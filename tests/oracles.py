@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from metricgraph import (
-    EmptyGraph, Graph, MetricSpace, MetricViolation, ParseError, TooSmall, classify_shape,
+    Graph, MetricSpace, MetricViolation, ParseError, TooSmall, classify_shape,
     enumerate_connected_graphs, graph_from_mask,
 )
 from metricgraph.errors import excerpt
@@ -373,7 +373,7 @@ def violation_reproduces(
 def check_conjecture_42_two_sided(g: Graph) -> ConjectureViolation | None:
     d = connected_distances(g)
     if g.edge_count() == 0:
-        raise EmptyGraph("conjecture applies to graphs with at least one edge")
+        raise TooSmall("conjecture applies to graphs with at least one edge")
     mb_witness = _mb_violation(d)
     shape = classify_shape(g)
     shape_ok = shape.is_path or (shape.is_cycle and shape.size == 4)

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from metricgraph import (
     Disconnected,
-    EmptySubset,
     Graph,
     ParseError,
     TooLarge,
+    TooSmall,
     UnknownLabel,
     between,
     classify_shape,
@@ -192,7 +192,7 @@ def test_induced_subgraph_examples():
 
     with pytest.raises(UnknownLabel):
         induced_subgraph(c4, ["v0", "zz"])
-    with pytest.raises(EmptySubset):
+    with pytest.raises(TooSmall, match="nonempty vertex subset"):
         induced_subgraph(c4, [])
 
 
@@ -205,7 +205,7 @@ def test_induced_subgraph_reads_labels_in_the_callers_order():
         induced_subgraph(p3, [2, 1])
     assert induced_subgraph(p3, ["v2", "v0", "v2", "v1"]) == p3
     assert induced_subgraph(p3, ("v2", "v2")).vertex_labels == ("v2",)
-    with pytest.raises(EmptySubset):
+    with pytest.raises(TooSmall, match="nonempty vertex subset"):
         induced_subgraph(p3, ())
 
 

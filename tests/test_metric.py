@@ -202,7 +202,7 @@ def test_restrict_checks_labels_and_trusts_the_table(monkeypatch):
     axiom scan, but still rejects an unknown, a repeated or no label."""
     m = geodesic_metric(path_graph(4))
     calls = []
-    monkeypatch.setattr(metricgraph.metric, "find_metric_violation", lambda dist, pairs=None: calls.append(dist))
+    monkeypatch.setattr(metricgraph.metric, "find_metric_violation", lambda dist, space=None: calls.append(dist))
     sub = m.restrict(["v3", "v0", "v1"])
     assert (sub.labels, sub.dist) == (("v3", "v0", "v1"), ((0, 3, 2), (3, 0, 1), (2, 1, 0)))
     assert sub.d("v0", "v3") == 3
@@ -502,6 +502,15 @@ def test_x2_examples():
     assert len(compute_x2_set(MetricSpace.from_rows(["a", "b"], [[0, 1], [1, 0]]))) == 0
     x2 = compute_x2_set(MetricSpace.from_rows(["a", "b"], [[0, 2], [2, 0]]))
     assert x2 == (("a", "b"),)
+    # The validating pass's own record, by index: n = 2 at distance 1 and
+    # 2; a pair at 2 whose only between point is a third point, next to
+    # an irreducible pair at 2; and a table that is not integral.
+    assert MetricSpace.from_rows(["a", "b"], [[0, 1], [1, 0]])._pairs == ()
+    assert MetricSpace.from_rows(["a", "b"], [[0, 2], [2, 0]])._pairs == ((0, 1),)
+    assert MetricSpace.from_rows(["a", "b", "c"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])._pairs == ()
+    assert MetricSpace.from_rows(["a", "b", "c"], [[0, 2, 2], [2, 0, 2], [2, 2, 0]])._pairs == (
+        (0, 1), (0, 2), (1, 2))
+    assert MetricSpace.from_rows(["a", "b"], [[0, "1/2"], ["1/2", 0]])._pairs is None
 
 
 @settings(max_examples=60)
@@ -570,6 +579,25 @@ def test_the_validating_pass_runs_once_per_space(tmp_path, monkeypatch):
         calls.clear()
         assert cli.main([command, str(file)]) == code
         assert len(calls) == runs, command
+
+
+def test_x2_builds_no_second_space(monkeypatch):
+    """On a space built by construction, `compute_x2_set` runs the
+    validating pass on that space itself: one pass, and no second label
+    check for a throwaway `MetricSpace`."""
+    passes, label_checks = [], []
+    validate, label_index = metricgraph.metric.find_metric_violation, metricgraph.metric.label_index
+    monkeypatch.setattr(metricgraph.metric, "find_metric_violation",
+                        lambda *args: passes.append(args) or validate(*args))
+    monkeypatch.setattr(metricgraph.metric, "label_index",
+                        lambda *args: label_checks.append(args) or label_index(*args))
+    for space in (EGYPTIAN.restrict(["x3", "x1"]), geodesic_metric(path_graph(5))):
+        passes.clear()
+        label_checks.clear()
+        x2 = compute_x2_set(space)
+        assert compute_x2_set(space) == x2 and kay_chartrand_check(space) == next(iter(x2), None)
+        assert (len(passes), len(label_checks)) == (1, 0)
+        assert passes[0][1] is space
 
 
 class _CountingRow(tuple):
