@@ -34,7 +34,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterator
 
-from .errors import TooLarge
+from .errors import ParseError, TooLarge
 from .graph import Graph
 
 HARD_CAP = 9  # n = 9 takes a minute or two; n = 10 has 11 716 571 classes
@@ -47,7 +47,10 @@ def _pair_positions(n: int) -> list[tuple[int, int]]:
 
 def graph_from_mask(n: int, mask: int) -> Graph:
     """The graph on v0..v{n-1} with adjacency bitmask `mask`, its sorted
-    rows read column by column; the `Graph` constructor checks them."""
+    rows read column by column; the `Graph` constructor checks them.
+    `ParseError` for a mask outside [0, 2^C(n,2))."""
+    if not 0 <= mask < 1 << n * (n - 1) // 2:
+        raise ParseError(f"a mask on {n} vertices lies in [0, 2^{n * (n - 1) // 2})")
     rows: list[list[int]] = [[] for _ in range(n)]
     for k, col in enumerate(_columns(n, mask)):
         for i in range(k):

@@ -308,12 +308,15 @@ def kay_chartrand_check(m: MetricSpace) -> tuple[str, str] | None:
 
 
 def ceiling_metric(m: MetricSpace) -> MetricSpace:
-    """Round every distance up to the nearest integer.
+    """Round every distance up to the nearest integer.  A space of `int`
+    entries is its own ceiling, and keeps what its validating pass found.
 
-    The result is a metric, as ceil(a + b) <= ceil(a) + ceil(b), so it is
-    built unscanned; `embed` reads its pairs from one validating pass, and
+    Any other result is a metric, as ceil(a + b) <= ceil(a) + ceil(b), so it
+    is built unscanned; `embed` reads its pairs from one validating pass, and
     `ceil_embed`'s BFS check of its host would catch a bad table anyway.
     """
+    if all(type(v) is int for row in m.dist for v in row):
+        return m
     return MetricSpace._of_metric(m.labels, tuple(tuple(math.ceil(v) for v in row) for row in m.dist))
 
 

@@ -1,13 +1,13 @@
 """Realizing and embedding metric spaces as graph geodesic metrics.
 
-Three constructions:
+One host builder, `embed`, behind three constructions:
 
-* `realize` — when every pair at distance >= 2 has a point between it,
-  the graph on the points themselves with edges exactly at distance-1
-  pairs reproduces the metric as its geodesic distance.
 * `embed` — any integer metric embeds isometrically: each irreducible
   pair (distance >= 2, nothing between) gets a private subdivision path
   of fresh auxiliary vertices whose length equals the distance.
+* `realize` — `embed` behind the Kay-Chartrand gate: when every pair at
+  distance >= 2 has a point between it, no pair is irreducible and the
+  host is the distance-1 graph on the points themselves.
 * `ceil_embed` — arbitrary rational metrics embed after rounding every
   distance up to the nearest integer, with additive distortion < 1.
 
@@ -87,22 +87,28 @@ def aux_labels(x: str, y: str, length: int) -> list[str]:
     return [f"{AUX_PREFIX}::{lo}::{hi}::{k}" for k in range(1, length)]
 
 
-def _build(m: MetricSpace, x2: tuple[tuple[str, str], ...]) -> RealizationResult:
-    """The one builder behind `realize` (empty `x2`) and `embed`: the
-    distance-1 edges on the points, plus for each pair in `x2` a private
-    path of fresh interior vertices whose length equals the pair's
-    distance, verified by BFS before returning."""
-    aux_count = sum(m.d(x, y) - 1 for x, y in x2)
+def embed(m: MetricSpace) -> RealizationResult:
+    """The one host builder: an isometric embedding of an integer metric.
+
+    Starts from the distance-1 edges on the points and adds, for each
+    irreducible pair, a private path of fresh interior vertices whose
+    length is the pair's distance, read once as an `int`.  BFS verification
+    of all pairwise distances runs before returning.  Raises `TooLarge`
+    above `MAX_HOST_VERTICES`, then `ParseError` for reserved point labels.
+    """
+    x2 = compute_x2_set(m)
+    lengths = [int(m.d(x, y)) for x, y in x2]
+    aux_count = sum(lengths) - len(lengths)
     if m.n + aux_count > MAX_HOST_VERTICES:
         raise TooLarge(f"the host graph would have more than {MAX_HOST_VERTICES} vertices")
     if x2 and any(lab.startswith(RESERVED_PREFIX) for lab in m.labels):
         raise ParseError(f"point labels starting with {RESERVED_PREFIX!r} are reserved")
     labels = list(m.labels)
     edges = [(i, j) for i in range(m.n) for j in range(i + 1, m.n) if m.dist[i][j] == 1]
-    for x, y in x2:
+    for (x, y), length in zip(x2, lengths):
         lo, hi = (x, y) if x < y else (y, x)
         first = len(labels)
-        labels.extend(aux_labels(x, y, m.d(x, y)))
+        labels.extend(aux_labels(x, y, length))
         chain = [m.index(lo), *range(first, len(labels)), m.index(hi)]
         edges.extend(zip(chain, chain[1:]))
     g = Graph.from_edges(labels, edges)
@@ -118,27 +124,14 @@ def _build(m: MetricSpace, x2: tuple[tuple[str, str], ...]) -> RealizationResult
 def realize(m: MetricSpace) -> RealizationResult:
     """Exact realization: vertices are the points, edges the distance-1 pairs.
 
-    Requires an integer metric in which every pair at distance >= 2 has a
-    between point; otherwise raises `ConditionFailed` with the first
-    violating pair.  The result is verified by BFS before returning.
+    `embed` behind the Kay-Chartrand gate: when every pair at distance >= 2
+    has a between point, no pair is irreducible.  Otherwise raises
+    `ConditionFailed` with the first violating pair, and builds nothing.
     """
     witness = kay_chartrand_check(m)
     if witness is not None:
         raise ConditionFailed(witness)
-    return _build(m, ())
-
-
-def embed(m: MetricSpace) -> RealizationResult:
-    """Isometric embedding of an integer metric into a graph metric.
-
-    Starts from the distance-1 edges on the points and adds, for each
-    irreducible pair, a private path of fresh interior vertices whose
-    length equals the pair's distance.  Interior vertex sets of distinct
-    pairs are disjoint by construction.  BFS verification of all pairwise
-    distances runs before returning.  Raises `TooLarge` above
-    `MAX_HOST_VERTICES` and `ParseError` for reserved point labels.
-    """
-    return _build(m, compute_x2_set(m))
+    return embed(m)
 
 
 def ceil_embed(m: MetricSpace) -> RealizationResult:
@@ -156,7 +149,5 @@ def ceil_embed(m: MetricSpace) -> RealizationResult:
             d_m, d_g = m.dist[i][j], ceiling.dist[i][j]
             if not d_m <= d_g < d_m + 1:
                 raise InternalVerificationFailure(
-                    f"distortion bound violated for ({x}, {m.labels[j]}): "
-                    f"d = {d_m}, d_G = {d_g}"
-                )
+                    f"distortion bound violated for ({x}, {m.labels[j]}): d = {d_m}, d_G = {d_g}")
     return result

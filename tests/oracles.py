@@ -272,6 +272,31 @@ def has_between_point(m: MetricSpace, i: int, j: int) -> bool:
     )
 
 
+def distance_one_rows(dist) -> list[list[int | None]]:
+    """Shortest walk lengths in a table's own distance-1 graph G1, with an
+    arc i -> j wherever dist[i][j] == 1, found level by level (None where
+    unreached).  G1 is directed when the table is not symmetric."""
+    n = len(dist)
+    rows = []
+    for s in range(n):
+        row: list[int | None] = [None] * n
+        row[s], frontier, level = 0, [s], 0
+        while frontier:
+            level += 1
+            frontier = [t for t in range(n) if row[t] is None and any(dist[u][t] == 1 for u in frontier)]
+            for t in frontier:
+                row[t] = level
+        rows.append(row)
+    return rows
+
+
+def equals_distance_one_bfs(dist) -> bool:
+    """Kay-Chartrand oracle: whether a table equals `distance_one_rows` of
+    itself.  On a symmetric table with a zero diagonal and positive integer
+    entries off it, this holds iff the table is a graph metric."""
+    return distance_one_rows(dist) == [list(row) for row in dist]
+
+
 def first_mb_violation(m: MetricSpace) -> tuple[str, str, str] | None:
     """Betweenness-class oracle: the first ordered triple of distinct points
     (lexicographic by index) with d(x,z) >= max(d(x,y), d(y,z)) but

@@ -83,6 +83,13 @@ def test_validate_invalid_metric(tmp_path, capsys):
     assert doc["metric_valid"] is False
     assert doc["violation"]["kind"] == "asymmetry"
     assert doc["violation"]["witness"] == [0, 1]
+    # Its rows are the BFS rows of its own directed distance-1 graph, yet
+    # this table is no metric either.
+    table = [[0, 1, 2], [1, 0, 1], [1, 2, 0]]
+    assert oracles.equals_distance_one_bfs(table)
+    path = write(tmp_path, "asym3.json", json.dumps({"points": ["a", "b", "c"], "distances": table}))
+    code, out, _ = run(capsys, "validate", path)
+    assert (code, json.loads(out)["violation"]["kind"]) == (1, "asymmetry")
 
 
 def test_validate_non_integer(tmp_path, capsys):
@@ -744,15 +751,31 @@ def test_every_typed_error_is_one_document(tmp_path, capsys, monkeypatch, cls):
     assert err == f"error: {exc}\n"
 
 
-def test_transcript_matches_the_golden_file(tmp_path):
+def test_transcript_matches_the_golden_file(tmp_path, monkeypatch):
     """Every invocation of the CLI transcript (`tests/transcript.py`) still
     gives its recorded exit code and the recorded bytes of stdout, stderr
-    and each written file."""
+    and each written file, and runs the validating pass on no table twice.
+    Distinct tables may each be validated: a rational `ceil-embed`
+    validates its input and its ceiling."""
+    tables, twice = [], []
+    validate, run_one = metricgraph.metric.find_metric_violation, transcript.main
+    monkeypatch.setattr(metricgraph.metric, "find_metric_violation",
+                        lambda *args: tables.append(args[0]) or validate(*args))
+
+    def recorded(argv):
+        tables.clear()
+        code = run_one(argv)
+        if any(a == b for a, b in itertools.combinations(tables, 2)):
+            twice.append(" ".join(argv))
+        return code
+
+    monkeypatch.setattr(transcript, "main", recorded)
     golden = json.loads(transcript.GOLDEN.read_text())
     got = transcript.record(tmp_path)
     first = next((i for i, (a, b) in enumerate(zip(got, golden)) if a != b), None)
     assert first is None, f"invocation {first}, {' '.join(golden[first]['argv'])}: {got[first]}"
     assert len(got) == len(golden)
+    assert twice == []
 
 
 # ---------------------------------------------------------------------------

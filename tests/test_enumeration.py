@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from metricgraph import Graph, TooLarge, canonical_form, cycle_graph, enumerate_connected_graphs, path_graph
+from metricgraph import Graph, ParseError, TooLarge, canonical_form, cycle_graph, enumerate_connected_graphs, path_graph
 from metricgraph import enumeration
 from metricgraph.enumeration import (
     _columns, _encode, _pair_positions, _search, graph_from_mask, split_trees,
@@ -152,7 +152,8 @@ def test_twin_rich_graphs_match_the_oracles(name):
 def test_graph_from_mask_matches_the_edge_route():
     """Every mask, connected or not, for n <= 5 and a seeded sample at
     n = 7 and 9: the rows decoded from the columns give the graph that
-    `Graph.from_edges` builds from the set bits."""
+    `Graph.from_edges` builds from the set bits.  A mask outside
+    [0, 2^C(n,2)) is refused."""
     cases = [(n, mask) for n in range(1, 6) for mask in range(1 << (n * (n - 1) // 2))]
     rng = random.Random(9)
     cases += [(n, rng.getrandbits(n * (n - 1) // 2)) for n in (7, 9) for _ in range(300)]
@@ -161,6 +162,9 @@ def test_graph_from_mask_matches_the_edge_route():
         edges = [p for c, p in enumerate(_pair_positions(n)) if mask >> (nbits - 1 - c) & 1]
         g = graph_from_mask(n, mask)
         assert g == Graph.from_edges([f"v{k}" for k in range(n)], edges), (n, mask)
+    for n, mask in ((3, 0b1111111), (3, 0b1000), (3, -1), (1, 1)):  # wider than C(n,2) bits, or negative
+        with pytest.raises(ParseError, match=rf"a mask on {n} vertices lies in \[0, 2\^{n * (n - 1) // 2}\)"):
+            graph_from_mask(n, mask)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from metricgraph import (
     Graph,
     MetricSpace,
     InternalVerificationFailure,
+    MetricViolation,
     NotIntegerMetric,
     ParseError,
     TooLarge,
@@ -84,6 +86,46 @@ def test_realize_round_trip_all_small_graphs():
     for n in range(1, 7):
         for g in oracles.class_graphs(n):
             assert realize(geodesic_metric(g)).graph == g
+
+
+def _drawn_table(rng: random.Random) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
+    """A graph metric, a subset metric or a rejection-sampled metric, and
+    half the time a copy with one entry moved by +-1: on both sides of the
+    diagonal, or on one side only."""
+    kind = rng.randrange(3)
+    m = (geodesic_metric(randgen.random_connected_graph(rng, rng.randint(1, 7))) if kind == 0
+         else randgen.random_subset_metric(rng, 6) if kind == 1
+         else randgen.random_int_metric_rejection(rng, rng.randint(2, 5)))
+    rows = [list(row) for row in m.dist]
+    if m.n >= 2 and rng.random() < 0.5:
+        i, j = rng.sample(range(m.n), 2)
+        rows[i][j] += rng.choice((-1, 1))
+        if rng.random() < 0.5:
+            rows[j][i] = rows[i][j]
+    return m.labels, tuple(map(tuple, rows))
+
+
+def test_realize_iff_the_table_is_its_own_distance_one_bfs():
+    """Kay and Chartrand: a table that validates is realized exactly when it
+    equals the BFS distances of its own distance-1 graph.  Both answers and
+    rejected tables all occur among the draws."""
+    rng = random.Random(37)
+    seen = Counter()
+    for _ in range(300):
+        labels, table = _drawn_table(rng)
+        try:
+            m = MetricSpace(labels, table)
+        except MetricViolation:
+            seen["rejected"] += 1
+            continue
+        try:
+            realize(m)
+            realized = True
+        except ConditionFailed:
+            realized = False
+        assert realized == oracles.equals_distance_one_bfs(table), table
+        seen[realized] += 1
+    assert min(seen[True], seen[False], seen["rejected"]) >= 20, seen
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +231,11 @@ def test_ceil_embed_examples():
 
     integer = MetricSpace.from_rows(["a", "b", "c"], [[0, 2, 2], [2, 0, 2], [2, 2, 0]])
     assert ceil_embed(integer).graph == embed(integer).graph
+
+    two = MetricSpace(("a", "b"), ((0, Fraction(2)), (Fraction(2), 0)))  # integral, held as a Fraction
+    r = embed(two)
+    assert (r.graph.n, r.aux_count, type(r.aux_count)) == (3, 1, int)
+    assert ceil_embed(two).graph == r.graph
 
     halves = MetricSpace.from_rows(
         ["a", "b", "c"], [[0, "3/2", "3/2"], ["3/2", 0, 2], ["3/2", 2, 0]]
